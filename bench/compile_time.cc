@@ -3,8 +3,8 @@
  * Compile-latency smoke benchmark for the staged pass pipeline.
  *
  * Compiles a multi-stream bootstrap program twice — once with the
- * worker pool disabled (compile_workers = 1) and once with one worker
- * per hardware core (compile_workers = 0) — and prints one JSON
+ * worker pool disabled (compile_workers = 1) and once on the whole
+ * shared TaskPool (compile_workers = 0) — and prints one JSON
  * object per line with the wall-clock numbers. The limb-lowering and
  * register-allocation passes parallelize over independent stream
  * units / chips, so the parallel run should show a measurable
@@ -20,7 +20,7 @@
 #include <cstdlib>
 #include <limits>
 
-#include "common/parallel.h"
+#include "common/task_pool.h"
 #include "compiler/dsl.h"
 #include "compiler/lowering.h"
 #include "fhe/params.h"
@@ -93,7 +93,7 @@ main(int argc, char **argv)
                 "\"serial_ms\":%.3f,\"parallel_ms\":%.3f,"
                 "\"speedup\":%.3f}\n",
                 streams, prog.ops().size(), 2 * streams, streams,
-                defaultWorkers(), reps, serial_ms, parallel_ms,
-                serial_ms / parallel_ms);
+                TaskPool::global().parallelism(), reps, serial_ms,
+                parallel_ms, serial_ms / parallel_ms);
     return 0;
 }

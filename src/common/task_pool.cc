@@ -1,10 +1,10 @@
 #include "common/task_pool.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/parallel.h"
 
 namespace cinnamon {
 namespace {
@@ -67,7 +67,8 @@ TaskPool::defaultParallelism()
             if (v >= 1)
                 return static_cast<std::size_t>(v);
         }
-        return defaultWorkers();
+        return std::max<std::size_t>(
+            1, std::thread::hardware_concurrency());
     }();
     return par;
 }

@@ -3,7 +3,7 @@
  * Persistent process-wide worker pool: the one execution core every
  * parallel layer shares.
  *
- * Before this existed, `parallelFor` spawned (and joined) fresh
+ * Before this existed, a fork-join helper spawned (and joined) fresh
  * threads on every call, so each compiler pass, each emulated
  * instruction stream, and each serving worker paid thread-spawn cost
  * — and concurrent requests each spawned their own gang, oversub-
@@ -28,7 +28,7 @@
  *    LOWEST index is rethrown on the submitting thread. A serial run
  *    (parallelism 1) throws at the first failing index, which is the
  *    lowest failing index, so `workers=1` and `workers=N` surface the
- *    same exception — unlike the old parallelFor, which kept
+ *    same exception — unlike the old fork-join helper, which kept
  *    whichever exception happened to be caught first and dropped the
  *    rest.
  *
@@ -105,8 +105,9 @@ class TaskPool
     /**
      * Run fn(i) for every i in [0, n), partitioned statically over at
      * most min(max_parallelism, parallelism()) participants
-     * (max_parallelism 0 = no extra cap). Blocks until every index
-     * ran; rethrows the lowest-index exception, if any.
+     * (max_parallelism 0 = no extra cap). A cap of 1, or n <= 1,
+     * runs every index in order on the calling thread. Blocks until
+     * every index ran; rethrows the lowest-index exception, if any.
      */
     template <typename Fn>
     void

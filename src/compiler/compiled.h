@@ -81,8 +81,9 @@ struct CompilerConfig
     std::size_t phys_regs = 224;  ///< register file limbs per chip
     bool allocate = true;         ///< run register allocation
     EvictionPolicy regalloc_policy = EvictionPolicy::Belady;
-    /** Worker threads for limb lowering / register allocation
-     *  (0 = one per hardware core). Never affects the output. */
+    /** Parallelism cap for limb lowering / register allocation on
+     *  the shared TaskPool (0 = the whole pool). Never affects the
+     *  output. */
     std::size_t compile_workers = 0;
     bool verify_ir = true; ///< run the inter-pass IR verifiers
 };

@@ -21,8 +21,8 @@
  * produce identical output.
  *
  * Descriptors (inputs, plaintexts, evaluation keys, outputs) are
- * referenced by per-unit index plus a canonical key string; the ISA
- * pass dedups keys globally into memory addresses.
+ * referenced by per-unit index; the ISA pass dedups them globally
+ * into memory addresses by value (DescKey).
  */
 
 #ifndef CINNAMON_COMPILER_LIMB_IR_H_
@@ -31,6 +31,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "compiler/compiled.h"
@@ -97,8 +98,7 @@ struct LimbUnit
     uint32_t chip_hi = 0; ///< across units
     std::vector<LimbOp> ops;
     std::vector<LimbValue> values;
-    std::vector<DataDescriptor> descs;
-    std::vector<std::string> desc_keys; ///< canonical key per desc
+    std::vector<DataDescriptor> descs; ///< distinct under DescKey
     std::vector<OutputSpec> outputs;
     CommSummary comm;
 
@@ -130,7 +130,23 @@ struct LimbProgram
     }
 };
 
-/** Canonical descriptor key (the ISA pass's address-dedup key). */
+/**
+ * Descriptor identity for address dedup: hash and equality over
+ * exactly the fields descKeyOf prints (scale is not one of them).
+ */
+struct DescKey
+{
+    std::size_t operator()(const DataDescriptor &d) const;
+    bool operator()(const DataDescriptor &a,
+                    const DataDescriptor &b) const;
+};
+
+/** Map keyed by descriptor identity (DescKey). */
+template <typename T>
+using DescMap =
+    std::unordered_map<DataDescriptor, T, DescKey, DescKey>;
+
+/** Printable descriptor key, for the --dump-ir=limb listing. */
 std::string descKeyOf(const DataDescriptor &desc);
 
 /**

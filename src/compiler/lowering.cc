@@ -1,7 +1,6 @@
 #include "compiler/lowering.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 #include <utility>
 
@@ -22,10 +21,10 @@ using isa::Opcode;
 /**
  * Pass "lower-isa": walk the limb units in stream order and emit one
  * ISA instruction stream per chip. This stage is serial and owns
- * everything global: memory-address assignment (descriptor keys dedup
- * across units), collective rendezvous tags, and per-chip virtual
- * register numbering — which is why serial and parallel limb lowering
- * produce byte-identical machine programs.
+ * everything global: memory-address assignment (descriptors dedup by
+ * value across units), collective rendezvous tags, and per-chip
+ * virtual register numbering — which is why serial and parallel limb
+ * lowering produce byte-identical machine programs.
  */
 void
 lowerIsaPass(PassContext &pcx)
@@ -38,7 +37,7 @@ lowerIsaPass(PassContext &pcx)
     std::vector<int> nreg(cfg.chips, 0);
     uint64_t next_tag = 1;
     uint64_t next_addr = 1;
-    std::map<std::string, uint64_t> addr_by_key;
+    DescMap<uint64_t> addr_of;
 
     auto newReg = [&](uint32_t chip) { return nreg[chip]++; };
     auto emit = [&](uint32_t chip, Instruction ins) {
@@ -49,14 +48,11 @@ lowerIsaPass(PassContext &pcx)
         // Global addresses for this unit's descriptors.
         std::vector<uint64_t> addr(unit.descs.size());
         for (std::size_t d = 0; d < unit.descs.size(); ++d) {
-            auto it = addr_by_key.find(unit.desc_keys[d]);
-            if (it != addr_by_key.end()) {
-                addr[d] = it->second;
-                continue;
-            }
-            addr[d] = next_addr++;
-            addr_by_key.emplace(unit.desc_keys[d], addr[d]);
-            out.data.emplace(addr[d], unit.descs[d]);
+            const auto [it, fresh] =
+                addr_of.try_emplace(unit.descs[d], next_addr);
+            addr[d] = it->second;
+            if (fresh)
+                out.data.emplace(next_addr++, unit.descs[d]);
         }
 
         std::vector<int> vreg(unit.values.size(), -1);

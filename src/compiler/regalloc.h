@@ -41,14 +41,15 @@ enum class EvictionPolicy { Belady, Lru };
  * Allocate registers in-place for every chip of `program`.
  *
  * Chips are fully independent (separate streams, register files, and
- * spill memories), so they allocate concurrently on `workers`
- * threads; the result is identical for any worker count.
+ * spill memories), so they allocate concurrently on the shared
+ * TaskPool; the result is identical for any worker count.
  *
  * @param phys_regs physical registers per chip.
  * @param spill_addr_base first memory address usable for spill slots
  *        (addresses below it belong to program data).
  * @param policy eviction policy (Belady unless ablating).
- * @param workers worker threads (0 = one per hardware core).
+ * @param workers cap on the TaskPool's parallelism (0 = the whole
+ *        pool, 1 = serial on the calling thread).
  * @return spill statistics: stores/loads summed over all chips,
  *         max_live the maximum over chips.
  */

@@ -211,7 +211,6 @@ TEST(Verifier, RejectsCrossGroupCollective)
     u.chip_lo = 0;
     u.chip_hi = 2;
     u.descs.push_back(compiler::DataDescriptor{});
-    u.desc_keys.push_back("test");
 
     const int src = u.newValue(0, 0);
     compiler::LimbOp ld;
