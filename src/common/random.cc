@@ -11,12 +11,6 @@ Rng::uniformMod(uint64_t modulus)
     return dist(engine_);
 }
 
-uint64_t
-Rng::uniform64()
-{
-    return engine_();
-}
-
 int64_t
 Rng::ternary()
 {

@@ -34,9 +34,6 @@ class Rng
     /** Uniform value in [0, modulus). */
     uint64_t uniformMod(uint64_t modulus);
 
-    /** Uniform value over all 64 bits. */
-    uint64_t uniform64();
-
     /** Signed ternary value in {-1, 0, 1} with Pr(0) = 1/2. */
     int64_t ternary();
 

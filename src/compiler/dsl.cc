@@ -215,14 +215,6 @@ Program::rotationSteps() const
     return std::vector<int>(steps.begin(), steps.end());
 }
 
-bool
-Program::usesConjugation() const
-{
-    return std::any_of(ops_.begin(), ops_.end(), [](const CtOp &op) {
-        return op.kind == CtOpKind::Conjugate;
-    });
-}
-
 Program
 replicateStreams(const Program &prog, int copies)
 {

@@ -132,9 +132,6 @@ class Program
     /** Every rotation step used (for key pre-generation). */
     std::vector<int> rotationSteps() const;
 
-    /** True if any conjugation appears. */
-    bool usesConjugation() const;
-
   private:
     int append(CtOp op);
     const CtOp &checkHandle(CtHandle h) const;

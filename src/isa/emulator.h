@@ -327,12 +327,9 @@ class EmulatorCache
     /** Return an emulator to the idle set for later acquire(). */
     void release(std::unique_ptr<Emulator> emu);
 
-    /** Idle instances currently held. */
-    std::size_t idleCount() const;
-
   private:
     const fhe::CkksContext *ctx_;
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::vector<std::unique_ptr<Emulator>> idle_;
 };
 

@@ -39,13 +39,6 @@ class LimbSpan
     uint64_t *begin() const { return data_; }
     uint64_t *end() const { return data_ + size_; }
 
-    /** Materialize an owning copy (for stores into owning containers). */
-    std::vector<uint64_t>
-    toVector() const
-    {
-        return std::vector<uint64_t>(data_, data_ + size_);
-    }
-
   private:
     uint64_t *data_;
     std::size_t size_;
@@ -72,12 +65,6 @@ class ConstLimbSpan
     const uint64_t &operator[](std::size_t i) const { return data_[i]; }
     const uint64_t *begin() const { return data_; }
     const uint64_t *end() const { return data_ + size_; }
-
-    std::vector<uint64_t>
-    toVector() const
-    {
-        return std::vector<uint64_t>(data_, data_ + size_);
-    }
 
   private:
     const uint64_t *data_;
