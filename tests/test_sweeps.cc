@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "compiler/lowering.h"
 #include "compiler/runtime.h"
 #include "fhe_test_util.h"
@@ -111,11 +114,15 @@ INSTANTIATE_TEST_SUITE_P(Machines, ChipsSweep,
 
 // ---- compiled rotation sweep ---------------------------------------
 
+// gtest_discover_tests names each ctest case after gtest's byte dump
+// of its parameter, so the struct must have no padding: padding bytes
+// are indeterminate and would rename the case in every process.
 struct RotCase
 {
-    int steps;
+    std::int64_t steps;
     std::size_t chips;
 };
+static_assert(std::has_unique_object_representations_v<RotCase>);
 
 class CompiledRotationSweep
     : public ::testing::TestWithParam<RotCase> {};
@@ -123,7 +130,8 @@ class CompiledRotationSweep
 TEST_P(CompiledRotationSweep, MatchesPlainRotation)
 {
     auto &h = harness();
-    const auto [steps, chips] = GetParam();
+    const int steps = static_cast<int>(GetParam().steps);
+    const std::size_t chips = GetParam().chips;
     compiler::Program p("rot", *h.ctx);
     auto x = p.input("x", 3);
     p.output("o", p.rotate(x, steps));
