@@ -78,8 +78,6 @@ struct DemoConfig
     std::size_t chips = 8;
     std::size_t group = 4;
     std::size_t queue = 64;
-    /** TaskPool threads for emulator execution (0 = keep default). */
-    std::size_t exec_workers = 0;
     double dilation = 300.0; ///< wall s per simulated s (device dwell)
     std::size_t batch_max_streams = 1; ///< 1 = unbatched serving
     double batch_linger_ms = 2.0;
@@ -124,8 +122,6 @@ parseArgs(int argc, char **argv)
             cfg.group = static_cast<std::size_t>(v);
         else if ((v = num("--queue")) >= 0)
             cfg.queue = static_cast<std::size_t>(v);
-        else if ((v = num("--exec-workers")) >= 0)
-            cfg.exec_workers = static_cast<std::size_t>(v);
         else if ((v = num("--dilation")) >= 0)
             cfg.dilation = v;
         else if ((v = num("--fault-seed")) >= 0)
@@ -227,7 +223,6 @@ runTrace(const fhe::CkksContext &ctx, const DemoConfig &cfg,
     opt.chips = cfg.chips;
     opt.group_size = cfg.group;
     opt.workers = workers;
-    opt.exec_workers = cfg.exec_workers;
     opt.queue_capacity = cfg.queue;
     opt.time_dilation = cfg.dilation;
     if (batched) {

@@ -80,9 +80,6 @@ struct DemoConfig
     std::size_t workers = 2;
     std::size_t group = 4;
     std::size_t queue = 64;
-    /** TaskPool threads for emulator execution (0 = keep default);
-     *  forwarded to every spawned worker process. */
-    std::size_t exec_workers = 0;
     double dilation = 40.0; ///< wall s per simulated s (device dwell)
     uint16_t port = 0;      ///< 0 = OS-assigned
     std::size_t batch_max_streams = 1; ///< 1 = unbatched dispatch
@@ -127,8 +124,6 @@ parseArgs(int argc, char **argv)
             cfg.group = static_cast<std::size_t>(v);
         else if ((v = num("--queue")) >= 0)
             cfg.queue = static_cast<std::size_t>(v);
-        else if ((v = num("--exec-workers")) >= 0)
-            cfg.exec_workers = static_cast<std::size_t>(v);
         else if ((v = num("--dilation")) >= 0)
             cfg.dilation = v;
         else if ((v = num("--port")) >= 0)
@@ -225,7 +220,6 @@ runWorkerRole(const DemoConfig &cfg)
     opt.port = cfg.port;
     opt.worker_id = cfg.worker_id;
     opt.group_size = cfg.group;
-    opt.exec_workers = cfg.exec_workers;
     opt.time_dilation = cfg.dilation;
     opt.faults = faultConfig(cfg);
     opt.autotune = cfg.autotune;
@@ -241,7 +235,6 @@ runBaseline(const fhe::CkksContext &ctx, const DemoConfig &cfg)
     opt.chips = cfg.workers * cfg.group;
     opt.group_size = cfg.group;
     opt.workers = cfg.workers;
-    opt.exec_workers = cfg.exec_workers;
     opt.queue_capacity = cfg.queue;
     opt.time_dilation = cfg.dilation;
     opt.autotune = cfg.autotune;
@@ -277,7 +270,6 @@ workerArgv(const DemoConfig &cfg, uint16_t port, uint64_t worker_id)
         "--chip-mtbf", s(cfg.chip_mtbf),
         "--transient-p", s(cfg.transient_p),
         "--conn-drop-p", s(cfg.conn_drop_p),
-        "--exec-workers", std::to_string(cfg.exec_workers),
     };
     if (cfg.autotune)
         args.push_back("--autotune");

@@ -78,8 +78,8 @@ class TaskPool
 
     /**
      * The process-wide pool. Created on first use with
-     * defaultParallelism(); layers that own the deployment shape
-     * (the serving tier) call resize() once at startup.
+     * defaultParallelism(), so CINNAMON_WORKERS sizes it for every
+     * binary (spawned serving workers inherit it through execv).
      */
     static TaskPool &global();
 
@@ -94,8 +94,8 @@ class TaskPool
 
     /**
      * Re-size the pool (joins current workers, spawns the new set).
-     * Must not race in-flight jobs: call at startup/shutdown
-     * boundaries, as Server::start and the remote worker do.
+     * Must not race in-flight jobs: call only at startup/shutdown
+     * boundaries.
      */
     void resize(std::size_t parallelism);
 

@@ -89,9 +89,7 @@ EmulateBackend::executeSeeded(const fhe::CkksContext &ctx,
                               const fhe::Encoder &encoder,
                               const compiler::Program &source,
                               const compiler::CompiledProgram &program,
-                              uint64_t seed, std::size_t workers,
-                              const faults::FaultDecision *fault,
-                              isa::EmulatorCache *cache)
+                              uint64_t seed)
 {
     // All randomness is derived from the request seed, so the output
     // digest is a pure function of (seed, program, parameters) —
@@ -102,8 +100,6 @@ EmulateBackend::executeSeeded(const fhe::CkksContext &ctx,
     Rng data_rng(seed ^ 0x9e3779b97f4a7c15ull);
 
     compiler::ProgramRuntime runtime(ctx, encoder, keygen, sk);
-    if (cache != nullptr)
-        runtime.setEmulatorCache(cache);
     for (const compiler::CtOp &op : source.ops()) {
         if (op.kind != compiler::CtOpKind::Input)
             continue;
@@ -115,14 +111,8 @@ EmulateBackend::executeSeeded(const fhe::CkksContext &ctx,
         runtime.bindInput(op.name, ct);
     }
 
-    if (fault != nullptr && fault->chip_fails)
-        runtime.armFault(fault->chip_offset, fault->at_fraction);
-    EmulateBackend backend(runtime, workers);
-    auto report = backend.execute(program);
-    if (fault != nullptr && fault->transient)
-        throw faults::TransientFaultError(
-            "injected transient execution fault");
-    return report;
+    EmulateBackend backend(runtime);
+    return backend.execute(program);
 }
 
 std::vector<ExecutionReport>

@@ -107,38 +107,25 @@ class EmulateBackend final : public ExecutionBackend
     execute(const compiler::CompiledProgram &program) override;
 
     /**
-     * Request-seeded emulation: derives every key and input from
-     * `seed` exactly the way the serving path does (KeyGenerator at
-     * the seed; inputs drawn real-only from Rng(seed ^ golden-ratio)
-     * in the source program's input order), runs, and digests. The
-     * report's digest is a pure function of (seed, program,
-     * parameters) — never of worker count or scheduling.
-     *
-     * When `fault` is non-null its layers are injected into this one
-     * attempt: a chip failure arms the runtime so the victim chip
-     * throws isa::EmulatorError mid-program, and a transient fault
-     * throws faults::TransientFaultError after the program ran (the
-     * work happened; the result is spuriously lost). A null or
-     * all-clear decision executes identically to the unfaulted path,
-     * so a retried attempt reproduces the unfaulted digest bit for
-     * bit.
-     *
-     * When `cache` is non-null the per-request runtime borrows its
-     * emulator from it (and returns it on exit), so back-to-back
-     * requests reuse warm arenas instead of growing fresh ones. The
-     * cache never affects results — only allocation traffic.
+     * The reference recipe of request-seeded emulation: derives every
+     * key and input from `seed` (KeyGenerator at the seed; inputs
+     * drawn real-only from Rng(seed ^ golden-ratio) in the source
+     * program's input order), runs serially, and digests. The digest
+     * is a pure function of (seed, program, parameters). Serving runs
+     * executeSeededBatch, even for a lone request; this independent
+     * single-member run is what each batch member's digest is checked
+     * against.
      */
     static ExecutionReport
     executeSeeded(const fhe::CkksContext &ctx,
                   const fhe::Encoder &encoder,
                   const compiler::Program &source,
-                  const compiler::CompiledProgram &program, uint64_t seed,
-                  std::size_t workers = 1,
-                  const faults::FaultDecision *fault = nullptr,
-                  isa::EmulatorCache *cache = nullptr);
+                  const compiler::CompiledProgram &program,
+                  uint64_t seed);
 
     /**
-     * Batched request-seeded emulation: `program` is the compilation
+     * Batched request-seeded emulation — the serving path, where a
+     * lone request is a batch of one: `program` is the compilation
      * of replicateStreams(source, seeds.size()), one batch member per
      * copy on its own span of chips. Each member draws its keys and
      * inputs from its *own* seed exactly like executeSeeded — member
@@ -151,8 +138,8 @@ class EmulateBackend final : public ExecutionBackend
      * `fault_member`'s chip span; the victim chip then throws
      * isa::EmulatorError mid-program, failing the whole batch attempt
      * (the server requeues every member). Transient faults are NOT
-     * applied here — they are per-member and the caller decides which
-     * members lose their result after execution.
+     * applied here — they are per-member and the caller drops the
+     * affected members' results after execution.
      */
     static std::vector<ExecutionReport>
     executeSeededBatch(const fhe::CkksContext &ctx,

@@ -170,13 +170,6 @@ class ChipFailedError : public std::runtime_error
     std::size_t chip_;
 };
 
-/** An injected spurious execution error (succeeds on retry). */
-class TransientFaultError : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
-
 } // namespace cinnamon::faults
 
 #endif // CINNAMON_FAULTS_FAULT_PLAN_H_

@@ -29,18 +29,6 @@ RequestQueue::submit(Request request)
 }
 
 std::optional<Request>
-RequestQueue::pop()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    ready_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty())
-        return std::nullopt;
-    Request r = std::move(items_.front());
-    items_.pop_front();
-    return r;
-}
-
-std::optional<Request>
 RequestQueue::popFor(double timeout_ms)
 {
     std::unique_lock<std::mutex> lock(mutex_);

@@ -40,20 +40,12 @@ class RequestQueue
     bool submit(Request request);
 
     /**
-     * Pop the oldest request, blocking while the queue is empty and
-     * open.
-     *
-     * @return nullopt once the queue is closed *and* drained.
-     */
-    std::optional<Request> pop();
-
-    /**
      * Pop the oldest request, waiting at most `timeout_ms` while the
-     * queue is empty. Unlike pop(), returns nullopt on timeout even
-     * while the queue is open — the remote front-end's dispatcher
-     * uses this to interleave queue draining with liveness checks
-     * (a closed-and-empty queue may still grow again via requeue()
-     * when a worker connection dies mid-request).
+     * queue is empty. Returns nullopt on timeout even while the queue
+     * is open — the remote front-end's dispatcher uses this to
+     * interleave queue draining with liveness checks (a
+     * closed-and-empty queue may still grow again via requeue() when
+     * a worker connection dies mid-request).
      */
     std::optional<Request> popFor(double timeout_ms);
 
@@ -62,12 +54,15 @@ class RequestQueue
         std::function<bool(const Request &, const Request &)>;
 
     /**
-     * Pop a *batch*: block like pop() for the oldest request, then
-     * coalesce up to `max - 1` further requests `compatible` with it,
-     * scanning past incompatible ones (which keep their FIFO slots).
+     * Pop a *batch*: block while the queue is empty and open, take
+     * the oldest request, then coalesce up to `max - 1` further
+     * requests `compatible` with it, scanning past incompatible ones
+     * (which keep their FIFO slots).
      * If the batch is still short and the queue is open, linger up to
      * `linger_ms` for compatible arrivals — trading a bounded bit of
-     * head latency for occupancy, continuous-batching style.
+     * head latency for occupancy, continuous-batching style. With
+     * `max` = 1 it pops exactly the oldest request and never
+     * lingers.
      *
      * @return empty once the queue is closed *and* drained.
      *
@@ -84,8 +79,8 @@ class RequestQueue
      * bouncing it here would turn a transient fault into a loss) and
      * the closed check (drainAndStop() closes the queue before workers
      * finish, and an in-flight retry must still drain). Safe against
-     * worker shutdown: the requeuing worker itself returns to pop()
-     * and the queue only reports drained when empty, so a requeued
+     * worker shutdown: the requeuing worker itself returns to
+     * popBatch() and the queue only reports drained when empty, so a requeued
      * request is always picked up. Restamps `admitted` — per-attempt
      * queue wait — while `born` keeps the cross-attempt budget.
      *

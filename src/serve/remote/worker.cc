@@ -5,24 +5,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <unistd.h>
 
-#include "common/logging.h"
 #include "common/metrics.h"
-#include "common/task_pool.h"
-#include "compiler/strategy.h"
-#include "exec/backend.h"
-#include "fhe/encoder.h"
 #include "net/message.h"
 #include "net/socket.h"
-#include "serve/catalog.h"
-#include "serve/plan_cache.h"
+#include "serve/executor.h"
 #include "serve/request.h"
-#include "serve/tuner.h"
-#include "workloads/benchmarks.h"
 
 namespace cinnamon::serve::remote {
 
@@ -38,21 +29,14 @@ msSince(Clock::time_point t)
 }
 
 /**
- * Everything one worker needs to execute requests; shares the
- * single-process server's building blocks so results are
- * bit-identical to in-process serving.
+ * Everything one worker needs: the same RequestExecutor the
+ * in-process server runs, so results are bit-identical to in-process
+ * serving, plus the connection state.
  */
 struct WorkerState
 {
-    const fhe::CkksContext *ctx;
     WorkerOptions opt;
-    WorkloadCatalog catalog;
-    workloads::BenchmarkRunner runner;
-    PlanCache plans; ///< serving-tier compiled-plan cache
-    PlanTuner tuner; ///< autotuned plan decisions (pure function)
-    fhe::Encoder encoder;
-    isa::EmulatorCache emu_cache; ///< recycled probe arenas
-    std::unique_ptr<faults::FaultPlan> fault_plan;
+    RequestExecutor executor;
 
     net::Socket sock;
     /** Serializes frame writes: heartbeat thread vs request loop. */
@@ -61,13 +45,14 @@ struct WorkerState
     uint64_t completed = 0;
 
     WorkerState(const fhe::CkksContext &c, const WorkerOptions &o)
-        : ctx(&c), opt(o), catalog(c), runner(c), plans(c),
-          tuner(runner), encoder(c), emu_cache(c)
+        : opt(o), executor(c, {.group_size = o.group_size,
+                               .emulate = o.emulate,
+                               .emulate_max_n = o.emulate_max_n,
+                               .hw = o.hw,
+                               .faults = o.faults,
+                               .autotune = o.autotune,
+                               .strategy = o.strategy})
     {
-        opt.hw.n = c.n();
-        if (opt.faults.enabled())
-            fault_plan =
-                std::make_unique<faults::FaultPlan>(opt.faults);
     }
 
     bool
@@ -80,288 +65,102 @@ struct WorkerState
 };
 
 /**
- * The execution plan a workload runs under — byte-for-byte the
- * in-process Server::planFor: forced strategy, autotuned winner, or
- * the default config. Decided on the undilated hardware model so
- * injected link degradation can never change what gets compiled.
- */
-struct PlanChoice
-{
-    std::string strategy;       ///< "" = default compile config
-    compiler::KsPassOptions ks; ///< keyswitch options of the plan
-    std::size_t sim_group = 0;  ///< chips per stream, sim timing
-};
-
-PlanChoice
-planChoiceFor(WorkerState &state, Workload workload)
-{
-    PlanChoice choice;
-    choice.sim_group = state.opt.group_size;
-    if (!state.opt.strategy.empty()) {
-        const auto &strat = compiler::StrategyRegistry::global().at(
-            state.opt.strategy);
-        choice.strategy = strat.name;
-        choice.ks = strat.ks;
-    } else if (state.opt.autotune) {
-        const auto &bench = state.catalog.benchmark(workload);
-        const TunedPlan &plan = state.tuner.plan(
-            bench, state.opt.group_size, state.opt.hw);
-        const auto &strat =
-            compiler::StrategyRegistry::global().at(plan.strategy);
-        choice.strategy = strat.name;
-        choice.ks = strat.ks;
-        choice.sim_group = plan.group;
-    }
-    return choice;
-}
-
-/**
- * Execute one request exactly the way Server::process does, minus
- * scheduling (this process IS the chip group). Returns the Result to
- * ship back; sets *drop_conn when a conn-drop fault fired and the
- * worker must sever the connection instead of replying.
- */
-net::ResultMsg
-executeSubmit(WorkerState &state, const net::SubmitMsg &submit,
-              bool *drop_conn)
-{
-    const auto start = Clock::now();
-    net::ResultMsg result;
-    result.request_id = submit.request_id;
-    result.attempt = submit.attempt;
-
-    const faults::FaultDecision fault =
-        state.fault_plan != nullptr
-            ? state.fault_plan->decide(
-                  submit.seed,
-                  static_cast<std::size_t>(submit.attempt))
-            : faults::FaultDecision{};
-    // An injected connection drop severs the link mid-request: the
-    // front-end sees EOF with this request in flight, quarantines the
-    // group, and requeues — the same observable as a real crash.
-    if (fault.conn_drops) {
-        *drop_conn = true;
-        MetricsRegistry::global()
-            .counter("faults.injected.conn")
-            .add();
-        return result;
-    }
-
-    const auto workload = static_cast<Workload>(submit.workload);
-    try {
-        const PlanChoice choice = planChoiceFor(state, workload);
-        {
-            sim::HardwareConfig hw = state.opt.hw;
-            if (fault.link_dilation > 1.0) {
-                hw.link_dilation = fault.link_dilation;
-                MetricsRegistry::global()
-                    .counter("faults.injected.link")
-                    .add();
-            }
-            const auto &bench = state.catalog.benchmark(workload);
-            const auto timing = state.runner.run(
-                bench, state.opt.group_size, hw, choice.sim_group,
-                choice.ks);
-            result.sim_seconds = timing.seconds;
-            result.compile_ms = timing.compile_ms;
-        }
-
-        if (fault.chip_fails)
-            MetricsRegistry::global()
-                .counter("faults.injected.chip")
-                .add();
-        if (fault.transient)
-            MetricsRegistry::global()
-                .counter("faults.injected.transient")
-                .add();
-
-        if (state.opt.emulate &&
-            state.ctx->n() <= state.opt.emulate_max_n) {
-            double probe_compile_ms = 0.0;
-            compiler::CompilerConfig cfg;
-            cfg.chips = state.opt.group_size;
-            cfg.num_streams = 1;
-            cfg.phys_regs = state.opt.hw.phys_regs;
-            cfg.strategy = choice.strategy;
-            const auto &compiled = state.plans.get(
-                state.catalog.probe(), cfg, &probe_compile_ms);
-            result.compile_ms += probe_compile_ms;
-            const auto report = exec::EmulateBackend::executeSeeded(
-                *state.ctx, state.encoder, state.catalog.probe(),
-                compiled, submit.seed, 0,
-                fault.any() ? &fault : nullptr, &state.emu_cache);
-            result.digest = report.digest;
-        } else if (fault.chip_fails) {
-            throw faults::ChipFailedError(
-                fault.chip_offset % state.opt.group_size,
-                "injected chip failure (sim abort)");
-        } else if (fault.transient) {
-            throw faults::TransientFaultError(
-                "injected transient execution fault");
-        }
-
-        if (state.opt.time_dilation > 0.0)
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                result.sim_seconds * state.opt.time_dilation));
-
-        result.status =
-            static_cast<uint16_t>(net::WireStatus::Completed);
-    } catch (const std::exception &e) {
-        result.status = static_cast<uint16_t>(net::WireStatus::Failed);
-        result.error = e.what();
-        result.retryable = fault.any() ? 1 : 0;
-        result.chip_failed = fault.chip_fails ? 1 : 0;
-        result.digest = 0;
-    }
-    result.service_ms = msSince(start);
-    return result;
-}
-
-/**
- * Execute a wire-v2 batched Submit: the worker's group hosts every
- * member's stream of one replicateStreams() program (the physical
- * machine behind one worker emulates the multi-group layout), so one
- * execution serves the whole batch and each member's digest is
- * bit-identical to a solo run. Returns one Result per member, lead
- * request first. Sets *drop_conn when any member drew a conn-drop
- * fault (the whole batch is lost with the connection, exactly like a
- * real crash).
+ * Execute one Submit as a batch: the lead request rides the flat
+ * fields, co-members (wire v2) the `extras`, and a lone request is a
+ * batch of one. The worker's group hosts every member's stream of one
+ * replicateStreams() program (the physical machine behind one worker
+ * emulates the multi-group layout), so one execution serves the whole
+ * batch and each member's digest is bit-identical to a solo run.
+ * Returns one Result per member, lead request first. Sets *drop_conn
+ * when any member drew a conn-drop fault (the whole batch is lost
+ * with the connection, exactly like a real crash).
  */
 std::vector<net::ResultMsg>
 executeSubmitBatch(WorkerState &state, const net::SubmitMsg &submit,
                    bool *drop_conn)
 {
     const auto start = Clock::now();
+    auto &executor = state.executor;
 
-    struct Mem
-    {
-        uint64_t request_id;
-        uint64_t seed;
-        uint64_t attempt;
+    std::vector<net::ResultMsg> results;
+    std::vector<uint64_t> seeds;
+    std::vector<faults::FaultDecision> fates;
+    auto add = [&](uint64_t request_id, uint64_t seed,
+                   uint64_t attempt) {
+        net::ResultMsg r;
+        r.request_id = request_id;
+        r.attempt = attempt;
+        results.push_back(r);
+        seeds.push_back(seed);
+        fates.push_back(executor.decide(
+            seed, static_cast<std::size_t>(attempt)));
     };
-    std::vector<Mem> mems;
-    mems.push_back({submit.request_id, submit.seed, submit.attempt});
+    add(submit.request_id, submit.seed, submit.attempt);
     for (const auto &e : submit.extras)
-        mems.push_back({e.request_id, e.seed, e.attempt});
-    const std::size_t k = mems.size();
+        add(e.request_id, e.seed, e.attempt);
 
-    std::vector<net::ResultMsg> results(k);
-    std::vector<faults::FaultDecision> faults_of(k);
-    auto &metrics = MetricsRegistry::global();
-    for (std::size_t i = 0; i < k; ++i) {
-        results[i].request_id = mems[i].request_id;
-        results[i].attempt = mems[i].attempt;
-        faults_of[i] =
-            state.fault_plan != nullptr
-                ? state.fault_plan->decide(
-                      mems[i].seed,
-                      static_cast<std::size_t>(mems[i].attempt))
-                : faults::FaultDecision{};
-        if (faults_of[i].conn_drops) {
+    bool chip_fault = false;
+    for (const auto &fate : fates) {
+        // An injected connection drop severs the link mid-request:
+        // the front-end sees EOF with this batch in flight,
+        // quarantines the group, and requeues — the same observable
+        // as a real crash.
+        if (fate.conn_drops) {
             *drop_conn = true;
-            metrics.counter("faults.injected.conn").add();
+            MetricsRegistry::global()
+                .counter("faults.injected.conn")
+                .add();
             return results;
         }
+        chip_fault = chip_fault || fate.chip_fails;
     }
 
     const auto workload = static_cast<Workload>(submit.workload);
-    std::size_t fault_member = k; // k = no chip fault in the batch
+    const auto set_status = [](net::ResultMsg &r, net::WireStatus s) {
+        r.status = static_cast<uint16_t>(s);
+    };
     try {
         // One plan for the whole batch (members share a workload).
-        const PlanChoice choice = planChoiceFor(state, workload);
-        // Per-member sim timing (first member compiles, rest hit the
-        // shared cache; the members run concurrently on the batched
-        // program, so each reports its own stream's seconds).
-        for (std::size_t i = 0; i < k; ++i) {
-            sim::HardwareConfig hw = state.opt.hw;
-            if (faults_of[i].link_dilation > 1.0) {
-                hw.link_dilation = faults_of[i].link_dilation;
-                metrics.counter("faults.injected.link").add();
-            }
-            const auto &bench = state.catalog.benchmark(workload);
-            const auto timing =
-                state.runner.run(bench, state.opt.group_size, hw,
-                                 choice.sim_group, choice.ks);
-            results[i].sim_seconds = timing.seconds;
-            results[i].compile_ms = timing.compile_ms;
+        const auto plan = executor.planFor(workload);
+        const auto timings = executor.simulate(workload, plan, fates);
+        const auto probe = executor.execute(plan, seeds, fates);
+        double max_sim = 0.0;
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            results[i].sim_seconds = timings[i].seconds;
+            results[i].compile_ms =
+                timings[i].compile_ms + probe.compile_ms;
+            results[i].digest = probe.digests[i];
+            max_sim = std::max(max_sim, timings[i].seconds);
         }
 
-        for (std::size_t i = 0; i < k; ++i) {
-            if (faults_of[i].chip_fails) {
-                metrics.counter("faults.injected.chip").add();
-                if (fault_member == k)
-                    fault_member = i;
-            }
-            if (faults_of[i].transient)
-                metrics.counter("faults.injected.transient").add();
-        }
-
-        if (state.opt.emulate &&
-            state.ctx->n() <= state.opt.emulate_max_n) {
-            double probe_compile_ms = 0.0;
-            compiler::CompilerConfig cfg;
-            cfg.chips = k * state.opt.group_size;
-            cfg.num_streams = static_cast<int>(k);
-            cfg.phys_regs = state.opt.hw.phys_regs;
-            cfg.strategy = choice.strategy;
-            const auto &plan = state.plans.get(
-                state.catalog.batchedProbe(k), cfg, &probe_compile_ms);
-            std::vector<uint64_t> seeds;
-            seeds.reserve(k);
-            for (const auto &m : mems)
-                seeds.push_back(m.seed);
-            const auto reports =
-                exec::EmulateBackend::executeSeededBatch(
-                    *state.ctx, state.encoder, state.catalog.probe(),
-                    plan, seeds, 0,
-                    fault_member < k ? &faults_of[fault_member]
-                                     : nullptr,
-                    fault_member, &state.emu_cache);
-            for (std::size_t i = 0; i < k; ++i) {
-                results[i].digest = reports[i].digest;
-                results[i].compile_ms += probe_compile_ms;
-            }
-        } else if (fault_member < k) {
-            throw faults::ChipFailedError(
-                faults_of[fault_member].chip_offset %
-                    state.opt.group_size,
-                "injected chip failure (sim abort)");
-        }
-
-        if (state.opt.time_dilation > 0.0) {
-            double max_sim = 0.0;
-            for (const auto &r : results)
-                max_sim = std::max(max_sim, r.sim_seconds);
+        if (state.opt.time_dilation > 0.0)
             std::this_thread::sleep_for(std::chrono::duration<double>(
                 max_sim * state.opt.time_dilation));
-        }
 
-        for (std::size_t i = 0; i < k; ++i) {
-            if (faults_of[i].transient) {
-                // Per-member loss: the batch ran, this member's
-                // result is spuriously gone. It retries alone.
-                results[i].status =
-                    static_cast<uint16_t>(net::WireStatus::Failed);
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            if (fates[i].transient) {
+                // Per-member loss after the run: the device did the
+                // work, this member's result is spuriously gone. It
+                // retries alone.
+                set_status(results[i], net::WireStatus::Failed);
                 results[i].error =
                     "injected transient execution fault";
                 results[i].retryable = 1;
                 results[i].digest = 0;
             } else {
-                results[i].status = static_cast<uint16_t>(
-                    net::WireStatus::Completed);
+                set_status(results[i], net::WireStatus::Completed);
             }
         }
     } catch (const std::exception &e) {
         // Whole-batch abort (chip death mid-program): every member's
         // attempt is lost together. chip_failed routes the group
         // quarantine on the front-end (idempotent per group).
-        for (std::size_t i = 0; i < k; ++i) {
-            results[i].status =
-                static_cast<uint16_t>(net::WireStatus::Failed);
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            set_status(results[i], net::WireStatus::Failed);
             results[i].error = e.what();
             results[i].retryable =
-                (fault_member < k || faults_of[i].any()) ? 1 : 0;
-            results[i].chip_failed = fault_member < k ? 1 : 0;
+                (chip_fault || fates[i].any()) ? 1 : 0;
+            results[i].chip_failed = chip_fault ? 1 : 0;
             results[i].digest = 0;
         }
     }
@@ -376,10 +175,6 @@ executeSubmitBatch(WorkerState &state, const net::SubmitMsg &submit,
 int
 runWorker(const fhe::CkksContext &ctx, const WorkerOptions &options)
 {
-    // Size this process's shared execution pool before any request
-    // is in flight (0 keeps the CINNAMON_WORKERS/hardware default).
-    if (options.exec_workers != 0)
-        TaskPool::global().resize(options.exec_workers);
     WorkerState state(ctx, options);
 
     state.sock = net::Socket::connectLoopback(
@@ -477,16 +272,8 @@ runWorker(const fhe::CkksContext &ctx, const WorkerOptions &options)
             }
             state.inflight.store(1 + submit.extras.size());
             bool drop_conn = false;
-            // Solo dispatches keep the classic path; a batched one
-            // runs every member as one multi-stream program and
-            // answers with one Result per member.
-            std::vector<net::ResultMsg> results;
-            if (submit.extras.empty())
-                results.push_back(
-                    executeSubmit(state, submit, &drop_conn));
-            else
-                results =
-                    executeSubmitBatch(state, submit, &drop_conn);
+            const auto results =
+                executeSubmitBatch(state, submit, &drop_conn);
             state.inflight.store(0);
             if (drop_conn) {
                 // Injected crash: sever without replying.

@@ -10,13 +10,16 @@
  *   connect → Hello/HelloAck handshake → loop { Submit → execute →
  *   Result } → Drain → DrainAck → exit
  *
- * Execution is byte-for-byte the single-process path: the workload's
- * kernels are timed through a BenchmarkRunner, and the catalog probe
- * program is emulated end-to-end with request-seeded keys via
- * exec::EmulateBackend::executeSeeded — so a request's output digest
- * is a pure function of (seed, catalog, parameters), identical
- * whether it was served in-process or by any worker process. That is
- * the distributed tier's determinism contract.
+ * Every Submit executes as a batch — a lone request is a batch of
+ * one — through the same RequestExecutor the in-process server uses
+ * (serve/executor.h): the workload's kernels are timed through its
+ * BenchmarkRunner, and the catalog probe is emulated end-to-end with
+ * per-member request-seeded keys via
+ * exec::EmulateBackend::executeSeededBatch — so a request's output
+ * digest is a pure function of (seed, catalog, parameters),
+ * identical whether it was served in-process or by any worker
+ * process, alone or batched. That is the distributed tier's
+ * determinism contract.
  *
  * A heartbeat thread beats every heartbeat_interval_ms for the whole
  * worker lifetime, including while a request is executing — liveness
@@ -25,7 +28,8 @@
  *
  * Fault injection: the worker draws from the same deterministic
  * FaultPlan as the in-process server. Chip and transient faults are
- * reported back in the Result (the front-end quarantines/retries);
+ * reported back in the Result (the front-end quarantines/retries; a
+ * chip fault fails every member, a transient one only its own);
  * a conn-drop fault makes the worker sever its connection mid-request
  * and exit with kConnDropExit — indistinguishable, to the front-end,
  * from a real crash or partition.
@@ -75,13 +79,6 @@ struct WorkerOptions
     bool autotune = false;
     /** Force one named registry strategy ("" = default config). */
     std::string strategy;
-    /**
-     * Size of this process's shared execution TaskPool (same
-     * semantics as ServeOptions::exec_workers: 0 keeps the
-     * CINNAMON_WORKERS / hardware default). Results are bit-identical
-     * at any size.
-     */
-    std::size_t exec_workers = 0;
 };
 
 /**

@@ -1,17 +1,9 @@
 #include "serve/server.h"
 
-#include "exec/backend.h"
-
 #include <algorithm>
-#include <stdexcept>
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/random.h"
-#include "common/task_pool.h"
-#include "compiler/runtime.h"
-#include "compiler/strategy.h"
-#include "fhe/evaluator.h"
 
 namespace cinnamon::serve {
 
@@ -27,18 +19,25 @@ msSince(Clock::time_point t)
         .count();
 }
 
+RequestExecutor::Config
+executorConfig(const ServeOptions &o)
+{
+    return {.group_size = o.group_size,
+            .emulate = o.emulate,
+            .emulate_max_n = o.emulate_max_n,
+            .hw = o.hw,
+            .faults = o.faults,
+            .autotune = o.autotune,
+            .strategy = o.strategy};
+}
+
 } // namespace
 
 Server::Server(const fhe::CkksContext &ctx, ServeOptions options)
-    : ctx_(&ctx), options_(options)
+    : options_(options), executor_(ctx, executorConfig(options))
 {
-    options_.hw.n = ctx.n();
     CINN_FATAL_UNLESS(options_.workers >= 1,
                       "the worker pool needs at least one thread");
-    catalog_ = std::make_unique<WorkloadCatalog>(ctx);
-    runner_ = std::make_unique<workloads::BenchmarkRunner>(ctx);
-    plans_ = std::make_unique<PlanCache>(ctx);
-    tuner_ = std::make_unique<PlanTuner>(*runner_);
     queue_ = std::make_unique<RequestQueue>(options_.queue_capacity);
     scheduler_ = std::make_unique<ChipGroupScheduler>(
         options_.chips, options_.group_size);
@@ -48,17 +47,12 @@ Server::Server(const fhe::CkksContext &ctx, ServeOptions options)
                                           scheduler_->numGroups()));
     batcher_ = std::make_unique<BatchFormer>(*queue_,
                                              options_.batch_linger_ms);
-    encoder_ = std::make_unique<fhe::Encoder>(ctx);
-    emu_cache_ = std::make_unique<isa::EmulatorCache>(ctx);
-    if (options_.faults.enabled())
-        fault_plan_ =
-            std::make_unique<faults::FaultPlan>(options_.faults);
     if (options_.trace) {
         trace_.setProcessName(kServerPid, "cinnamon-serve");
         for (std::size_t w = 0; w < options_.workers; ++w)
             trace_.setThreadName(kServerPid, static_cast<uint32_t>(w),
                                  "worker " + std::to_string(w));
-        if (fault_plan_)
+        if (options_.faults.enabled())
             trace_.setThreadName(
                 kServerPid, static_cast<uint32_t>(options_.workers),
                 "health-probe");
@@ -85,18 +79,10 @@ Server::start()
         started_ = true;
         start_time_ = Clock::now();
     }
-    // The serving tier owns the deployment shape, so it sizes the
-    // shared execution pool once, before any request is in flight.
-    // 0 leaves the pool at its CINNAMON_WORKERS / hardware default.
-    if (options_.exec_workers != 0)
-        TaskPool::global().resize(options_.exec_workers);
     workers_.reserve(options_.workers);
-    const bool batched = options_.batch_max_streams > 1;
     for (std::size_t w = 0; w < options_.workers; ++w)
-        workers_.emplace_back([this, w, batched] {
-            batched ? batchedWorkerLoop(w) : workerLoop(w);
-        });
-    if (fault_plan_) {
+        workers_.emplace_back([this, w] { batchedWorkerLoop(w); });
+    if (options_.faults.enabled()) {
         {
             std::lock_guard<std::mutex> lock(probe_mutex_);
             probe_stop_ = false;
@@ -181,16 +167,6 @@ Server::drainAndStop()
 }
 
 void
-Server::workerLoop(std::size_t worker)
-{
-    while (auto request = queue_->pop()) {
-        Response resp = process(*request, worker);
-        std::lock_guard<std::mutex> lock(responses_mutex_);
-        responses_.push_back(std::move(resp));
-    }
-}
-
-void
 Server::batchedWorkerLoop(std::size_t worker)
 {
     while (true) {
@@ -208,15 +184,9 @@ Server::processBatch(std::vector<Request> batch, std::size_t worker)
     TraceRecorder *trace = options_.trace ? &trace_ : nullptr;
     const auto tid = static_cast<uint32_t>(worker);
 
-    auto push = [&](Response resp) {
-        std::lock_guard<std::mutex> lock(responses_mutex_);
-        responses_.push_back(std::move(resp));
-    };
-
     // Per-member state: the request, its response under construction,
     // and its fault decision (pure in (fault seed, request seed,
-    // attempt) — identical to what the unbatched path would draw, so
-    // batching never changes a request's fate schedule).
+    // attempt), so batching never changes a request's fate schedule).
     struct Member
     {
         Request req;
@@ -231,13 +201,74 @@ Server::processBatch(std::vector<Request> batch, std::size_t worker)
         m.resp.workload = req.workload;
         m.resp.attempt = req.attempt;
         m.resp.queue_ms = msSince(req.admitted);
-        m.fault = fault_plan_ != nullptr
-                      ? fault_plan_->decide(req.seed, req.attempt)
-                      : faults::FaultDecision{};
+        m.fault = executor_.decide(req.seed, req.attempt);
+        if (trace != nullptr) {
+            TraceEvent e;
+            e.name = "queue";
+            e.category = "serve";
+            e.pid = kServerPid;
+            e.tid = tid;
+            e.ts_us = trace->toUs(req.admitted);
+            e.dur_us = m.resp.queue_ms * 1e3;
+            e.num_args.emplace_back("rid", static_cast<double>(req.id));
+            e.str_args.emplace_back("workload",
+                                    workloadName(req.workload));
+            trace->complete(std::move(e));
+        }
         m.req = std::move(req);
         members.push_back(std::move(m));
     }
 
+    // A span the members share carries the batch size plus the lead
+    // member's rid and workload, so a batch of one traces exactly
+    // like a lone request. `on` = false records nothing.
+    auto span = [&](const char *name, const std::vector<Member> &of,
+                    bool on = true) {
+        ScopedSpan s(on ? trace : nullptr, name, "serve", kServerPid,
+                     tid);
+        s.arg("members", static_cast<double>(of.size()));
+        s.arg("rid", static_cast<double>(of.front().req.id));
+        s.arg("workload", workloadName(of.front().req.workload));
+        return s;
+    };
+
+    // Every response leaves through here, so total_ms is always
+    // queue_ms + service_ms, whatever the fate.
+    auto finish = [&](Member &m, RequestStatus status) {
+        m.resp.status = status;
+        m.resp.total_ms = m.resp.queue_ms + m.resp.service_ms;
+        switch (status) {
+        case RequestStatus::Completed:
+            metrics.counter("serve.requests.completed").add();
+            metrics.histogram("serve.queue_ms")
+                .observe(m.resp.queue_ms);
+            metrics.histogram("serve.service_ms")
+                .observe(m.resp.service_ms);
+            metrics.histogram("serve.total_ms")
+                .observe(m.resp.total_ms);
+            metrics.histogram("serve.compile_ms")
+                .observe(m.resp.compile_ms);
+            break;
+        case RequestStatus::Expired:
+            metrics.counter("serve.requests.expired").add();
+            break;
+        case RequestStatus::Failed:
+            metrics.counter("serve.requests.failed").add();
+            break;
+        case RequestStatus::Retried:
+            metrics.counter("serve.retries").add();
+            if (m.resp.requeued)
+                metrics.counter("serve.requeued").add();
+            break;
+        case RequestStatus::Rejected: break;
+        }
+        std::lock_guard<std::mutex> lock(responses_mutex_);
+        responses_.push_back(std::move(m.resp));
+    };
+
+    // The deadline budget is measured from first admission (`born`),
+    // so a retried attempt inherits whatever its earlier attempts
+    // already spent — retries never reset the clock.
     const auto deadline_ms = [](const Request &r) {
         return static_cast<double>(r.deadline.count());
     };
@@ -246,23 +277,15 @@ Server::processBatch(std::vector<Request> batch, std::size_t worker)
                msSince(r.born) > deadline_ms(r);
     };
     auto expire = [&](Member &m, bool after_lease) {
-        m.resp.status = RequestStatus::Expired;
-        m.resp.total_ms = m.resp.queue_ms + m.resp.service_ms;
-        metrics.counter("serve.requests.expired").add();
         if (after_lease)
             metrics.counter("serve.requests.expired_after_lease")
                 .add();
-        push(std::move(m.resp));
-    };
-    auto fail = [&](Member &m) {
-        m.resp.status = RequestStatus::Failed;
-        m.resp.total_ms = m.resp.queue_ms + m.resp.service_ms;
-        metrics.counter("serve.requests.failed").add();
-        push(std::move(m.resp));
+        finish(m, RequestStatus::Expired);
     };
 
-    // Shed members whose latency budget was spent in the queue —
-    // same rule as the single-request path.
+    // Shed members whose latency budget was spent in the queue:
+    // running them would only push the requests behind them past
+    // their own deadlines.
     {
         std::vector<Member> live;
         live.reserve(members.size());
@@ -279,10 +302,10 @@ Server::processBatch(std::vector<Request> batch, std::size_t worker)
 
     const auto service_start = Clock::now();
 
-    // Retry-or-finalize for members whose attempt aborted; mirrors
-    // the single-request catch block member by member (per-member
-    // backoff and deadline math), but sleeps once for the whole set
-    // — the members shared one attempt, they share one backoff.
+    // Retry-or-finalize for members whose attempt aborted, each under
+    // its own backoff and deadline math, but sleeping once for the
+    // whole set — the members shared one attempt, they share one
+    // backoff.
     auto settle_aborted = [&](std::vector<Member> aborted,
                               const std::string &error, bool retryable,
                               bool requeued_flag,
@@ -294,7 +317,7 @@ Server::processBatch(std::vector<Request> batch, std::size_t worker)
             m.resp.retryable = retryable;
             m.resp.error = error;
             if (!retryable) {
-                fail(m);
+                finish(m, RequestStatus::Failed);
                 continue;
             }
             const bool attempts_left =
@@ -306,6 +329,8 @@ Server::processBatch(std::vector<Request> batch, std::size_t worker)
                 options_.retry.backoff_max_ms,
                 options_.retry.backoff_jitter);
             delay_ms = std::max(delay_ms, delay_floor_ms);
+            // Deadline-aware: a retry is scheduled only if its backoff
+            // still fits inside the budget.
             const bool deadline_allows =
                 m.req.deadline.count() == 0 ||
                 msSince(m.req.born) + delay_ms <= deadline_ms(m.req);
@@ -317,14 +342,13 @@ Server::processBatch(std::vector<Request> batch, std::size_t worker)
                 // lost.
                 expire(m, /*after_lease=*/false);
             } else {
-                fail(m);
+                finish(m, RequestStatus::Failed);
             }
         }
         if (retries.empty())
             return;
         {
-            ScopedSpan s(trace, "backoff", "serve", kServerPid, tid);
-            s.arg("members", static_cast<double>(retries.size()));
+            auto s = span("backoff", retries);
             s.arg("delay_ms", max_delay_ms);
             std::this_thread::sleep_for(
                 std::chrono::duration<double, std::milli>(
@@ -334,25 +358,23 @@ Server::processBatch(std::vector<Request> batch, std::size_t worker)
             Request next = m.req;
             ++next.attempt;
             if (!queue_->requeue(std::move(next))) {
+                // The queue was sealed while we backed off: nothing
+                // will ever drain the retry. Finalize as Failed —
+                // request conservation over a silent loss.
                 m.resp.error += " (retry refused: queue sealed)";
                 metrics.counter("serve.requeue_refused").add();
-                fail(m);
+                finish(m, RequestStatus::Failed);
                 continue;
             }
-            m.resp.status = RequestStatus::Retried;
             m.resp.requeued = requeued_flag;
-            metrics.counter("serve.retries").add();
-            if (requeued_flag)
-                metrics.counter("serve.requeued").add();
-            push(std::move(m.resp));
+            finish(m, RequestStatus::Retried);
         }
     };
 
     try {
         BatchLease lease;
         {
-            ScopedSpan s(trace, "acquire", "serve", kServerPid, tid);
-            s.arg("members", static_cast<double>(members.size()));
+            auto s = span("acquire", members);
             lease = scheduler_->acquireUpTo(members.size());
         }
 
@@ -367,12 +389,14 @@ Server::processBatch(std::vector<Request> batch, std::size_t worker)
                 m.resp.service_ms = msSince(service_start);
                 m.resp.error = "batch overflow: queue sealed";
                 metrics.counter("serve.requeue_refused").add();
-                fail(m);
+                finish(m, RequestStatus::Failed);
             }
         }
 
         // Re-check deadlines after the (possibly long) wait for
-        // hardware, then return any groups the shed members held.
+        // hardware — a member whose budget lapsed while other tenants
+        // held the machine is shed, not run — then return any groups
+        // the shed members held.
         {
             std::vector<Member> live;
             live.reserve(members.size());
@@ -391,127 +415,74 @@ Server::processBatch(std::vector<Request> batch, std::size_t worker)
         }
 
         const std::size_t k = members.size();
+        std::vector<uint64_t> seeds;
+        std::vector<faults::FaultDecision> fates;
         for (std::size_t i = 0; i < k; ++i) {
             members[i].resp.group = lease.group(i);
             members[i].resp.batch_streams = k;
+            seeds.push_back(members[i].req.seed);
+            fates.push_back(members[i].fault);
         }
 
         // Quarantine every chip-fault victim's group *before*
-        // executing, exactly like the single-request path: the
-        // injected EmulatorError unwinds through the lease destructor
-        // and release() must already know those groups are poisoned.
-        // The emulator can only arm one victim chip per run; the
-        // first chip-fault member supplies it (the whole batch aborts
-        // either way).
-        std::size_t fault_member = k; // k = no chip fault in batch
-        faults::FaultDecision batch_fault{};
+        // executing: the injected EmulatorError unwinds through the
+        // lease destructor, and release() must already know those
+        // groups are poisoned so it parks them instead of freeing
+        // them.
         for (std::size_t i = 0; i < k; ++i) {
-            const auto &f = members[i].fault;
-            if (f.chip_fails) {
-                const auto [lo, hi] =
-                    scheduler_->chipsOf(lease.group(i));
-                const std::size_t victim =
-                    lo + f.chip_offset % options_.group_size;
-                (void)hi;
-                metrics.counter("faults.injected.chip").add();
-                metrics.counter("serve.quarantines").add();
-                scheduler_->markChipFailed(victim);
-                if (trace != nullptr) {
-                    TraceEvent e;
-                    e.name = "quarantine";
-                    e.category = "faults";
-                    e.pid = kServerPid;
-                    e.tid = tid;
-                    e.ts_us = trace->nowUs();
-                    e.num_args.emplace_back(
-                        "chip", static_cast<double>(victim));
-                    e.num_args.emplace_back(
-                        "group",
-                        static_cast<double>(lease.group(i)));
-                    e.num_args.emplace_back(
-                        "rid",
-                        static_cast<double>(members[i].req.id));
-                    trace->complete(std::move(e));
-                }
-                if (fault_member == k) {
-                    fault_member = i;
-                    batch_fault = f;
-                }
-            }
-            if (f.transient)
-                metrics.counter("faults.injected.transient").add();
-            if (f.link_dilation > 1.0)
-                metrics.counter("faults.injected.link").add();
-        }
-
-        // Per-member sim timing on its own group (shared cache: the
-        // first member of a kind compiles, the rest hit). A member
-        // with a degraded link times under the dilated config.
-        // One plan for the whole batch: batch compatibility requires
-        // a shared workload, so every member gets the same choice.
-        const PlanChoice choice = planFor(members[0].req.workload);
-        {
-            ScopedSpan s(trace, "simulate", "serve", kServerPid, tid);
-            s.arg("members", static_cast<double>(k));
-            for (auto &m : members) {
-                sim::HardwareConfig hw = options_.hw;
-                if (m.fault.link_dilation > 1.0)
-                    hw.link_dilation = m.fault.link_dilation;
-                const auto &bench =
-                    catalog_->benchmark(m.req.workload);
-                const auto timing =
-                    runner_->run(bench, options_.group_size, hw,
-                                 choice.sim_group, choice.ks);
-                m.resp.sim_seconds = timing.seconds;
-                m.resp.compile_ms = timing.compile_ms;
-            }
-        }
-
-        // One multi-stream program for the whole batch: member i's
-        // stream lands on the chips of lease.group(i). Digests are
-        // bit-identical to each member's unbatched run (per-member
-        // seeded keys; the compiled layout keeps every stream's chip
-        // digits identical to the single-stream plan).
-        if (options_.emulate && ctx_->n() <= options_.emulate_max_n) {
-            ScopedSpan s(trace, "probe", "serve", kServerPid, tid);
-            s.arg("members", static_cast<double>(k));
-            double probe_compile_ms = 0.0;
-            compiler::CompilerConfig cfg;
-            cfg.chips = k * options_.group_size;
-            cfg.num_streams = static_cast<int>(k);
-            cfg.phys_regs = options_.hw.phys_regs;
-            cfg.strategy = choice.strategy;
-            const auto &plan = plans_->get(catalog_->batchedProbe(k),
-                                           cfg, &probe_compile_ms);
-            std::vector<uint64_t> seeds;
-            seeds.reserve(k);
-            for (const auto &m : members)
-                seeds.push_back(m.req.seed);
-            // workers=0: take the shared pool's full parallelism —
-            // idle capacity slices limb planes, results unchanged.
-            auto reports = exec::EmulateBackend::executeSeededBatch(
-                *ctx_, *encoder_, catalog_->probe(), plan, seeds, 0,
-                fault_member < k ? &batch_fault : nullptr,
-                fault_member, emu_cache_.get());
-            for (std::size_t i = 0; i < k; ++i) {
-                members[i].resp.output_hash = reports[i].digest;
-                members[i].resp.compile_ms += probe_compile_ms;
-            }
-        } else if (fault_member < k) {
+            if (!fates[i].chip_fails)
+                continue;
             const std::size_t victim =
-                lease.group(fault_member) * options_.group_size +
-                batch_fault.chip_offset % options_.group_size;
-            throw faults::ChipFailedError(
-                victim, "injected chip failure: chip " +
-                            std::to_string(victim) +
-                            " lost mid-run (sim abort)");
+                scheduler_->chipsOf(lease.group(i)).first +
+                fates[i].chip_offset % options_.group_size;
+            metrics.counter("serve.quarantines").add();
+            scheduler_->markChipFailed(victim);
+            if (trace != nullptr) {
+                TraceEvent e;
+                e.name = "quarantine";
+                e.category = "faults";
+                e.pid = kServerPid;
+                e.tid = tid;
+                e.ts_us = trace->nowUs();
+                e.num_args.emplace_back("chip",
+                                        static_cast<double>(victim));
+                e.num_args.emplace_back(
+                    "group", static_cast<double>(lease.group(i)));
+                e.num_args.emplace_back(
+                    "rid", static_cast<double>(members[i].req.id));
+                trace->complete(std::move(e));
+            }
+        }
+
+        // One plan for the whole batch: compatible members share a
+        // workload, so every member gets the same choice.
+        const Workload workload = members.front().req.workload;
+        const auto plan = executor_.planFor(workload);
+        {
+            auto s = span("simulate", members);
+            const auto timings =
+                executor_.simulate(workload, plan, fates);
+            for (std::size_t i = 0; i < k; ++i) {
+                members[i].resp.sim_seconds = timings[i].seconds;
+                members[i].resp.compile_ms = timings[i].compile_ms;
+            }
+        }
+        {
+            // Member i's stream runs on the chips of lease.group(i);
+            // its digest equals the member's run alone.
+            auto s = span("probe", members, executor_.emulates());
+            const auto probe = executor_.execute(plan, seeds, fates);
+            for (std::size_t i = 0; i < k; ++i) {
+                members[i].resp.output_hash = probe.digests[i];
+                members[i].resp.compile_ms += probe.compile_ms;
+            }
         }
 
         // Model device occupancy once for the whole batch: every
         // leased group runs concurrently, so the host thread dwells
         // for the slowest member only.
         if (options_.time_dilation > 0.0) {
-            ScopedSpan s(trace, "dwell", "serve", kServerPid, tid);
+            auto s = span("dwell", members);
             double max_sim = 0.0;
             for (const auto &m : members)
                 max_sim = std::max(max_sim, m.resp.sim_seconds);
@@ -519,35 +490,20 @@ Server::processBatch(std::vector<Request> batch, std::size_t worker)
                 max_sim * options_.time_dilation));
         }
 
-        // Transient faults are per-member: the batch ran, but a
-        // transient member's result is spuriously lost and the member
-        // retries alone. Split them out before completing the rest.
-        std::vector<Member> transients, completed;
+        // Transient faults are per-member and land after the run: the
+        // device did the work, but a transient member's result is
+        // spuriously lost and the member retries alone.
+        std::vector<Member> transients;
         for (auto &m : members) {
             if (m.fault.transient) {
                 m.resp.output_hash = 0; // the result was lost
                 transients.push_back(std::move(m));
             } else {
-                completed.push_back(std::move(m));
+                m.resp.service_ms = msSince(service_start);
+                finish(m, RequestStatus::Completed);
             }
         }
-        members = std::move(completed);
-
-        for (auto &m : members) {
-            m.resp.status = RequestStatus::Completed;
-            m.resp.service_ms = msSince(service_start);
-            m.resp.total_ms = m.resp.queue_ms + m.resp.service_ms;
-            metrics.counter("serve.requests.completed").add();
-            metrics.histogram("serve.queue_ms")
-                .observe(m.resp.queue_ms);
-            metrics.histogram("serve.service_ms")
-                .observe(m.resp.service_ms);
-            metrics.histogram("serve.total_ms")
-                .observe(m.resp.total_ms);
-            metrics.histogram("serve.compile_ms")
-                .observe(m.resp.compile_ms);
-            push(std::move(m.resp));
-        }
+        members.clear();
 
         if (!transients.empty()) {
             lease.release(); // don't hold hardware through backoff
@@ -558,9 +514,11 @@ Server::processBatch(std::vector<Request> batch, std::size_t worker)
         }
     } catch (const std::exception &e) {
         // The whole attempt aborted — injected chip death unwinding
-        // out of the emulator, or a fully-quarantined machine. Every
-        // member shares the abort; each retries (or finalizes) under
-        // its own backoff/deadline math.
+        // out of the emulator (or the sim-side abort), or a
+        // fully-quarantined machine. Injected faults and a
+        // fully-quarantined machine are transient infrastructure
+        // conditions, hence retryable; anything else is a permanent
+        // program error. Every member shares the abort.
         const bool no_healthy =
             dynamic_cast<const NoHealthyGroupsError *>(&e) != nullptr;
         bool any_fault = false;
@@ -615,312 +573,6 @@ Server::healthProbeLoop()
     }
 }
 
-Response
-Server::process(const Request &request, std::size_t worker)
-{
-    TraceRecorder *trace = options_.trace ? &trace_ : nullptr;
-    const auto tid = static_cast<uint32_t>(worker);
-    auto span = [&](const char *name) {
-        ScopedSpan s(trace, name, "serve", kServerPid, tid);
-        s.arg("rid", static_cast<double>(request.id));
-        s.arg("workload", workloadName(request.workload));
-        return s;
-    };
-
-    auto &metrics = MetricsRegistry::global();
-    Response resp;
-    resp.id = request.id;
-    resp.workload = request.workload;
-    resp.attempt = request.attempt;
-    resp.queue_ms = msSince(request.admitted);
-    if (trace != nullptr) {
-        TraceEvent e;
-        e.name = "queue";
-        e.category = "serve";
-        e.pid = kServerPid;
-        e.tid = tid;
-        e.ts_us = trace->toUs(request.admitted);
-        e.dur_us = resp.queue_ms * 1e3;
-        e.num_args.emplace_back("rid",
-                                static_cast<double>(request.id));
-        e.str_args.emplace_back("workload",
-                                workloadName(request.workload));
-        trace->complete(std::move(e));
-    }
-
-    auto expire = [&] {
-        resp.status = RequestStatus::Expired;
-        resp.total_ms = resp.queue_ms + resp.service_ms;
-        metrics.counter("serve.requests.expired").add();
-    };
-
-    // The deadline budget is measured from first admission (`born`),
-    // so a retried attempt inherits whatever its earlier attempts
-    // already spent — retries never reset the clock.
-    const auto budget_ms = [&] { return msSince(request.born); };
-    const auto deadline_ms =
-        static_cast<double>(request.deadline.count());
-
-    // A request whose latency budget was spent in the queue is shed
-    // here: running it would only push the requests behind it past
-    // their own deadlines.
-    if (request.deadline.count() > 0 && budget_ms() > deadline_ms) {
-        expire();
-        return resp;
-    }
-
-    // The faults this attempt suffers — a pure function of
-    // (fault seed, request seed, attempt), fixed before execution so
-    // the catch block below can classify what it sees.
-    const faults::FaultDecision fault =
-        fault_plan_ != nullptr
-            ? fault_plan_->decide(request.seed, request.attempt)
-            : faults::FaultDecision{};
-
-    const auto service_start = Clock::now();
-    try {
-        GroupLease lease;
-        {
-            auto s = span("acquire");
-            lease = scheduler_->acquire();
-        }
-        resp.group = lease.group();
-
-        // Re-check after the (possibly long) wait for a chip group: a
-        // request whose deadline lapsed while other tenants held the
-        // machine must be shed, not run — otherwise it occupies the
-        // group for work nobody can use and delays everyone behind it.
-        if (request.deadline.count() > 0 &&
-            budget_ms() > deadline_ms) {
-            resp.service_ms = msSince(service_start);
-            expire();
-            metrics.counter("serve.requests.expired_after_lease")
-                .add();
-            return resp;
-        }
-
-        // Quarantine the victim's group *before* executing: the
-        // injected EmulatorError unwinds through the lease destructor,
-        // and release() must already know the group is poisoned so it
-        // parks it instead of freeing it.
-        std::size_t victim = 0;
-        if (fault.chip_fails) {
-            const auto [lo, hi] = scheduler_->chipsOf(lease.group());
-            victim = lo + fault.chip_offset % options_.group_size;
-            (void)hi;
-            metrics.counter("faults.injected.chip").add();
-            metrics.counter("serve.quarantines").add();
-            scheduler_->markChipFailed(victim);
-            if (trace != nullptr) {
-                TraceEvent e;
-                e.name = "quarantine";
-                e.category = "faults";
-                e.pid = kServerPid;
-                e.tid = tid;
-                e.ts_us = trace->nowUs();
-                e.num_args.emplace_back(
-                    "chip", static_cast<double>(victim));
-                e.num_args.emplace_back(
-                    "group", static_cast<double>(lease.group()));
-                e.num_args.emplace_back(
-                    "rid", static_cast<double>(request.id));
-                trace->complete(std::move(e));
-            }
-        }
-        if (fault.transient)
-            metrics.counter("faults.injected.transient").add();
-        if (fault.link_dilation > 1.0)
-            metrics.counter("faults.injected.link").add();
-
-        // Time the workload's kernels on this group (shared cache:
-        // the first request of a kind compiles, the rest hit). A
-        // degraded link stretches every collective in the timing
-        // model; the dilated config has its own cache key.
-        const PlanChoice choice = planFor(request.workload);
-        {
-            auto s = span("simulate");
-            sim::HardwareConfig hw = options_.hw;
-            if (fault.link_dilation > 1.0) {
-                hw.link_dilation = fault.link_dilation;
-                s.arg("link_dilation", fault.link_dilation);
-            }
-            const auto &bench = catalog_->benchmark(request.workload);
-            const auto timing =
-                runner_->run(bench, options_.group_size, hw,
-                             choice.sim_group, choice.ks);
-            resp.sim_seconds = timing.seconds;
-            resp.compile_ms = timing.compile_ms;
-        }
-
-        // End-to-end functional execution at small parameter sets;
-        // chip and transient faults are injected into the emulated
-        // attempt. When the probe is skipped (large n) the same
-        // faults surface directly as a sim-side abort.
-        if (options_.emulate && ctx_->n() <= options_.emulate_max_n) {
-            auto s = span("probe");
-            resp.output_hash =
-                runProbe(request, options_.group_size,
-                         &resp.compile_ms,
-                         fault.any() ? &fault : nullptr,
-                         choice.strategy);
-        } else if (fault.chip_fails) {
-            throw faults::ChipFailedError(
-                victim, "injected chip failure: chip " +
-                            std::to_string(victim) +
-                            " lost mid-run (sim abort)");
-        } else if (fault.transient) {
-            throw faults::TransientFaultError(
-                "injected transient execution fault");
-        }
-
-        // Model the accelerator group's real occupancy: the host
-        // thread waits on the device for the simulated duration
-        // (scaled), keeping the group leased the whole time.
-        if (options_.time_dilation > 0.0) {
-            auto s = span("dwell");
-            const auto dwell = std::chrono::duration<double>(
-                resp.sim_seconds * options_.time_dilation);
-            std::this_thread::sleep_for(dwell);
-        }
-        resp.status = RequestStatus::Completed;
-    } catch (const std::exception &e) {
-        resp.service_ms = msSince(service_start);
-        // Injected faults and a fully-quarantined machine are
-        // transient infrastructure conditions: the attempt is
-        // retryable. Anything else is a permanent program error.
-        const bool no_healthy =
-            dynamic_cast<const NoHealthyGroupsError *>(&e) != nullptr;
-        const bool retryable = fault.any() || no_healthy;
-        resp.retryable = retryable;
-        resp.error = e.what();
-
-        const bool attempts_left =
-            request.attempt + 1 < options_.retry.max_attempts;
-        double delay_ms = faults::backoffMs(
-            request.seed, request.attempt,
-            options_.retry.backoff_base_ms, options_.retry.backoff_mult,
-            options_.retry.backoff_max_ms,
-            options_.retry.backoff_jitter);
-        // A full outage clears no sooner than the repair time, so
-        // retrying faster would only burn the attempt budget; wait
-        // at least one repair + probe window.
-        if (no_healthy)
-            delay_ms = std::max(
-                delay_ms, options_.faults.chip_repair_ms +
-                              options_.health_probe_interval_ms);
-        // Deadline-aware: a retry is scheduled only if its backoff
-        // still fits inside the budget. Never retry past the deadline.
-        const bool deadline_allows =
-            request.deadline.count() == 0 ||
-            budget_ms() + delay_ms <= deadline_ms;
-
-        if (retryable && attempts_left && deadline_allows) {
-            resp.status = RequestStatus::Retried;
-            resp.total_ms = resp.queue_ms + resp.service_ms;
-            metrics.counter("serve.retries").add();
-            resp.requeued = fault.chip_fails || no_healthy;
-            if (resp.requeued)
-                metrics.counter("serve.requeued").add();
-            {
-                auto s = span("backoff");
-                s.arg("attempt",
-                      static_cast<double>(request.attempt));
-                s.arg("delay_ms", delay_ms);
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double, std::milli>(
-                        delay_ms));
-            }
-            Request next = request;
-            ++next.attempt;
-            if (!queue_->requeue(std::move(next))) {
-                // The queue was sealed while we backed off: nothing
-                // will ever drain the retry, so accepting it would
-                // strand the request. Finalize as Failed instead —
-                // request conservation over a silent loss.
-                resp.status = RequestStatus::Failed;
-                resp.error += " (retry refused: queue sealed)";
-                metrics.counter("serve.requests.failed").add();
-                metrics.counter("serve.requeue_refused").add();
-            }
-            return resp;
-        }
-        if (retryable && !deadline_allows) {
-            // The fault burned the rest of the budget: the request
-            // expires rather than fails — it was shed, not lost.
-            expire();
-            return resp;
-        }
-        resp.status = RequestStatus::Failed;
-        metrics.counter("serve.requests.failed").add();
-        resp.total_ms = resp.queue_ms + resp.service_ms;
-        return resp;
-    }
-    resp.service_ms = msSince(service_start);
-    resp.total_ms = resp.queue_ms + resp.service_ms;
-    if (resp.status == RequestStatus::Completed) {
-        metrics.counter("serve.requests.completed").add();
-        metrics.histogram("serve.queue_ms").observe(resp.queue_ms);
-        metrics.histogram("serve.service_ms").observe(resp.service_ms);
-        metrics.histogram("serve.total_ms").observe(resp.total_ms);
-        metrics.histogram("serve.compile_ms").observe(resp.compile_ms);
-    }
-    return resp;
-}
-
-Server::PlanChoice
-Server::planFor(Workload workload)
-{
-    PlanChoice choice;
-    choice.sim_group = options_.group_size;
-    if (!options_.strategy.empty()) {
-        const auto &strat =
-            compiler::StrategyRegistry::global().at(options_.strategy);
-        choice.strategy = strat.name;
-        choice.ks = strat.ks;
-    } else if (options_.autotune) {
-        // Decide on the *undilated* hardware model: the decision must
-        // be a pure function of (workload, machine) so an injected
-        // link degradation can never change what gets compiled — and
-        // thereby a retried request's digest.
-        const auto &bench = catalog_->benchmark(workload);
-        const TunedPlan &plan =
-            tuner_->plan(bench, options_.group_size, options_.hw);
-        const auto &strat =
-            compiler::StrategyRegistry::global().at(plan.strategy);
-        choice.strategy = strat.name;
-        choice.ks = strat.ks;
-        choice.sim_group = plan.group;
-    }
-    return choice;
-}
-
-uint64_t
-Server::runProbe(const Request &request, std::size_t group_chips,
-                 double *compile_ms, const faults::FaultDecision *fault,
-                 const std::string &strategy)
-{
-    double probe_compile_ms = 0.0;
-    compiler::CompilerConfig cfg;
-    cfg.chips = group_chips;
-    cfg.num_streams = 1;
-    cfg.phys_regs = options_.hw.phys_regs;
-    cfg.strategy = strategy;
-    const auto &compiled =
-        plans_->get(catalog_->probe(), cfg, &probe_compile_ms);
-    if (compile_ms != nullptr)
-        *compile_ms += probe_compile_ms;
-
-    // All randomness is derived from the request seed, so the output
-    // hash is a pure function of (seed, catalog, parameters) — never
-    // of worker count or scheduling order. The seeded emulate backend
-    // owns that discipline now; the digest semantics are unchanged,
-    // and an all-clear fault decision executes identically to none.
-    auto report = exec::EmulateBackend::executeSeeded(
-        *ctx_, *encoder_, catalog_->probe(), compiled, request.seed,
-        0, fault, emu_cache_.get());
-    return report.digest;
-}
-
 std::vector<Response>
 Server::responses() const
 {
@@ -949,11 +601,11 @@ Server::stats() const
     }
     auto s = ServeStats::fromResponses(resp, submitted,
                                        queue_->rejected(), wall,
-                                       runner_->cacheStats(),
+                                       executor_.runnerStats(),
                                        scheduler_->busySeconds(),
                                        scheduler_->quarantinedMask());
-    s.plan_cache = plans_->stats();
-    s.tuner_cache = tuner_->stats();
+    s.plan_cache = executor_.planCache().stats();
+    s.tuner_cache = executor_.tunerStats();
     s.rejected_full = queue_->rejectedFull();
     s.rejected_closed = queue_->rejectedClosed();
     return s;

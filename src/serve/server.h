@@ -6,39 +6,44 @@
  * from "request arrived" to "encrypted result + latency numbers":
  *
  *   submit() → RequestQueue (bounded, admission-controlled)
- *            → worker pool (std::thread)
- *            → ChipGroupScheduler (one exclusive chip group/request)
- *            → BenchmarkRunner (shared thread-safe compile/sim cache)
- *            → optional end-to-end probe on the ISA emulator
+ *            → BatchFormer (up to batch_max_streams compatible
+ *              requests) → worker pool (std::thread)
+ *            → ChipGroupScheduler (one exclusive chip group/member)
+ *            → RequestExecutor (plan, sim timing, emulated probe)
  *            → Response (latency split, simulated time, output hash)
  *
- * Each served request simulates its workload's kernels on its chip
- * group (hitting the shared compile/sim cache after the first request
- * of a kind) and, at small parameter sets, executes the catalog probe
- * program end-to-end — request-seeded keys, encryption, compiled ISA
- * on the functional emulator — so the serving path is continuously
+ * There is one execution path. Every attempt is a batch: k
+ * compatible requests run as one k-stream program on k chip groups,
+ * and a request served alone is a batch of one (the default
+ * batch_max_streams = 1 forms nothing else). Each member's workload
+ * kernels are timed on its group through the shared compile/sim
+ * cache and, at small parameter sets, the catalog probe runs
+ * end-to-end — request-seeded keys, encryption, compiled ISA on the
+ * functional emulator — so the serving path is continuously
  * validated, not just timed. If `time_dilation` is set, the worker
- * additionally holds its group for `sim_seconds * time_dilation`
- * wall-clock seconds, modelling the accelerator's real occupancy (the
- * host thread waits on the device); that is what makes multi-worker
- * runs overlap device time across groups, exactly as a real serving
- * tier overlaps accelerator work.
+ * additionally holds the batch's groups for the slowest member's
+ * `sim_seconds * time_dilation` wall-clock seconds, modelling the
+ * accelerator's real occupancy (the host thread waits on the
+ * device); that is what makes multi-worker runs overlap device time
+ * across groups, exactly as a real serving tier overlaps accelerator
+ * work.
  *
  * Determinism contract: a request's output hash depends only on
  * (request seed, workload catalog, parameter set) — never on worker
- * count, scheduling order, or cache state. Concurrent and serial runs
- * of the same trace are bit-identical.
+ * count, batch width, scheduling order, or cache state. Concurrent
+ * and serial runs of the same trace are bit-identical.
  *
  * Resilience (DESIGN.md §5c): when ServeOptions::faults enables a
  * fault schedule, attempts can suffer injected chip death, transient
  * execution errors, or link degradation. Faulted attempts are retried
  * under RetryPolicy (bounded attempts, seeded exponential backoff,
  * never past the deadline); a chip death quarantines its group and
- * the request is requeued onto healthy hardware; a health probe
- * re-admits repaired groups. Fault decisions are pure functions of
- * (fault seed, request seed, attempt), so the determinism contract
- * survives: a retried request's output hash equals the unfaulted
- * run's.
+ * aborts the batch, whose members are requeued onto healthy
+ * hardware; a transient fault loses only its member's result; a
+ * health probe re-admits repaired groups. Fault decisions are pure
+ * functions of (fault seed, request seed, attempt), so the
+ * determinism contract survives: a retried request's output hash
+ * equals the unfaulted run's.
  */
 
 #ifndef CINNAMON_SERVE_SERVER_H_
@@ -51,16 +56,11 @@
 
 #include "common/trace.h"
 #include "faults/fault_plan.h"
-#include "fhe/encoder.h"
-#include "isa/emulator.h"
 #include "serve/batcher.h"
-#include "serve/catalog.h"
-#include "serve/plan_cache.h"
+#include "serve/executor.h"
 #include "serve/queue.h"
 #include "serve/scheduler.h"
 #include "serve/stats.h"
-#include "serve/tuner.h"
-#include "workloads/benchmarks.h"
 
 namespace cinnamon::serve {
 
@@ -127,8 +127,9 @@ struct ServeOptions
      * Continuous cross-request batching: coalesce up to this many
      * compatible queued requests (same workload shape) into one
      * multi-stream program spanning that many chip groups, one
-     * member per group. 1 (the default) serves every request alone
-     * on the classic path; digests are bit-identical either way.
+     * member per group. 1 (the default) makes every batch a batch of
+     * one; the execution path is the same at any width, and digests
+     * are bit-identical either way.
      */
     std::size_t batch_max_streams = 1;
     /**
@@ -152,14 +153,6 @@ struct ServeOptions
      * request time with the registry's list.
      */
     std::string strategy;
-    /**
-     * Size of the shared execution TaskPool (chip advance + limb
-     * slicing in the emulator probe). 0 keeps the pool's current size
-     * (CINNAMON_WORKERS or hardware concurrency); a non-zero value
-     * resizes the process-wide pool once in start(). Never affects
-     * results — digests are bit-identical at any size.
-     */
-    std::size_t exec_workers = 0;
 };
 
 class Server
@@ -199,39 +192,28 @@ class Server
     /** Aggregate statistics for the run so far. */
     ServeStats stats() const;
 
-    const WorkloadCatalog &catalog() const { return *catalog_; }
     const ChipGroupScheduler &scheduler() const { return *scheduler_; }
-    workloads::BenchmarkRunner &runner() { return *runner_; }
-    const PlanCache &planCache() const { return *plans_; }
-    const PlanTuner &tuner() const { return *tuner_; }
+    const PlanCache &planCache() const
+    {
+        return executor_.planCache();
+    }
 
     /** Per-request span recorder (populated when options.trace). */
     const TraceRecorder &trace() const { return trace_; }
 
   private:
     /**
-     * The execution plan a workload runs under: the forced strategy,
-     * the autotuned winner, or the default config. `strategy` feeds
-     * the probe's CompilerConfig (distinct plan-cache keys per
-     * strategy); `ks`/`sim_group` feed the sim-timing run.
-     */
-    struct PlanChoice
-    {
-        std::string strategy;       ///< "" = default compile config
-        compiler::KsPassOptions ks; ///< keyswitch options of the plan
-        std::size_t sim_group = 0;  ///< chips per stream, sim timing
-    };
-    PlanChoice planFor(Workload workload);
-
-    void workerLoop(std::size_t worker);
-    Response process(const Request &request, std::size_t worker);
-
-    /**
-     * Batched worker loop (batch_max_streams > 1): forms compatible
-     * batches through the BatchFormer, leases one chip group per
-     * member, and executes them as one multi-stream program.
+     * Worker loop: forms batches of up to batch_max_streams
+     * compatible requests through the BatchFormer and processes each.
      */
     void batchedWorkerLoop(std::size_t worker);
+
+    /**
+     * Serve one batch attempt: lease one chip group per member,
+     * quarantine chip-fault victims, execute through the
+     * RequestExecutor, dwell, and settle every member's response
+     * (completed, expired, failed, or retried).
+     */
     void processBatch(std::vector<Request> batch, std::size_t worker);
 
     /**
@@ -240,33 +222,12 @@ class Server
      */
     void healthProbeLoop();
 
-    /**
-     * The end-to-end emulator probe; returns the output hash. Any
-     * wall-clock ms spent compiling the probe is added to *compile_ms.
-     * `fault` (may be null) is injected into this attempt.
-     */
-    uint64_t runProbe(const Request &request, std::size_t group_chips,
-                      double *compile_ms = nullptr,
-                      const faults::FaultDecision *fault = nullptr,
-                      const std::string &strategy = std::string());
-
-    const fhe::CkksContext *ctx_;
     ServeOptions options_;
-    std::unique_ptr<WorkloadCatalog> catalog_;
-    std::unique_ptr<workloads::BenchmarkRunner> runner_;
-    std::unique_ptr<PlanCache> plans_;
-    std::unique_ptr<PlanTuner> tuner_;
+    /** Plan choice, sim timing, and the probe; shared by workers. */
+    RequestExecutor executor_;
     std::unique_ptr<RequestQueue> queue_;
     std::unique_ptr<BatchFormer> batcher_;
     std::unique_ptr<ChipGroupScheduler> scheduler_;
-    std::unique_ptr<fhe::Encoder> encoder_;
-    /**
-     * Recycles emulator arenas across probe requests (all workers
-     * share it; acquire/release are thread-safe).
-     */
-    std::unique_ptr<isa::EmulatorCache> emu_cache_;
-    /** Non-null iff options_.faults.enabled(); shared, stateless. */
-    std::unique_ptr<faults::FaultPlan> fault_plan_;
 
     std::vector<std::thread> workers_;
     TraceRecorder trace_;

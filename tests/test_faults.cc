@@ -5,13 +5,15 @@
  * (same seed ⇒ identical failure trace), deadline-aware retry (never
  * retry past the deadline), quarantine-then-readmit round trips, and
  * the core recovery contract — a request that survives its faults
- * completes with an output hash bit-identical to an unfaulted run.
+ * completes with an output hash bit-identical to an unfaulted run,
+ * served alone or in batches.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "faults/fault_plan.h"
@@ -52,6 +54,21 @@ completedHashes(const Server &server)
         if (r.status == RequestStatus::Completed)
             hashes[r.id] = r.output_hash;
     return hashes;
+}
+
+/**
+ * Every Retried row settles like a final one: its total_ms is the
+ * sum of its queue wait and its aborted attempt's service time.
+ */
+void
+expectRetriedRowsTotalTheirParts(const Server &server)
+{
+    for (const auto &r : server.responses()) {
+        if (r.status == RequestStatus::Retried) {
+            EXPECT_DOUBLE_EQ(r.total_ms, r.queue_ms + r.service_ms)
+                << "retried row of request " << r.id;
+        }
+    }
 }
 
 /** Per-id final status (the one non-Retried row per request). */
@@ -238,13 +255,7 @@ TEST(Resilience, TransientFaultsRetryAndMatchUnfaultedBitForBit)
     opt.faults.seed = 77;
     opt.faults.transient_p = 0.5;
     opt.retry.max_attempts = 3;
-    Server server(faultContext(), opt);
     const faults::FaultPlan plan(opt.faults);
-
-    server.start();
-    for (std::size_t i = 0; i < n; ++i)
-        ASSERT_TRUE(server.submit(Workload::Keyswitch, 2000 + i));
-    server.drainAndStop();
 
     // Expected fate per request: the first clean attempt completes;
     // three transient draws in a row exhaust the attempts.
@@ -263,28 +274,43 @@ TEST(Resilience, TransientFaultsRetryAndMatchUnfaultedBitForBit)
     ASSERT_GT(expected_retries, 0u) << "schedule drew no faults; "
                                        "pick a different fault seed";
 
-    const auto stats = server.stats();
-    EXPECT_EQ(stats.completed, expected_completed);
-    EXPECT_EQ(stats.retried, expected_retries);
-    EXPECT_EQ(stats.failed, n - expected_completed);
-    // Conservation: nothing lost, every request reached a final fate.
-    EXPECT_EQ(stats.completed + stats.rejected + stats.expired +
-                  stats.failed,
-              stats.submitted);
-    // Failures here are injected, hence retryable.
-    EXPECT_EQ(stats.failed_retryable, stats.failed);
+    // Batch width never changes a fate: a transient fault loses only
+    // its own member's result, and a member that does not fit the
+    // lease goes back to the queue without burning an attempt.
+    for (const std::size_t width : {1u, 2u}) {
+        SCOPED_TRACE("batch_max_streams " + std::to_string(width));
+        opt.batch_max_streams = width;
+        Server server(faultContext(), opt);
+        server.start();
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_TRUE(server.submit(Workload::Keyswitch, 2000 + i));
+        server.drainAndStop();
 
-    // The recovery contract: a retried request's output is
-    // bit-identical to the unfaulted run's (ids are assigned in
-    // submit order in both runs).
-    const auto faulted_hashes = completedHashes(server);
-    EXPECT_EQ(faulted_hashes.size(), expected_completed);
-    for (const auto &[id, hash] : faulted_hashes) {
-        auto it = clean_hashes.find(id);
-        ASSERT_NE(it, clean_hashes.end());
-        EXPECT_EQ(hash, it->second)
-            << "request " << id
-            << " completed with a different digest after retries";
+        const auto stats = server.stats();
+        EXPECT_EQ(stats.completed, expected_completed);
+        EXPECT_EQ(stats.retried, expected_retries);
+        EXPECT_EQ(stats.failed, n - expected_completed);
+        // Conservation: nothing lost, every request reached a final
+        // fate.
+        EXPECT_EQ(stats.completed + stats.rejected + stats.expired +
+                      stats.failed,
+                  stats.submitted);
+        // Failures here are injected, hence retryable.
+        EXPECT_EQ(stats.failed_retryable, stats.failed);
+        expectRetriedRowsTotalTheirParts(server);
+
+        // The recovery contract: a retried request's output is
+        // bit-identical to the unfaulted run's (ids are assigned in
+        // submit order in both runs).
+        const auto faulted_hashes = completedHashes(server);
+        EXPECT_EQ(faulted_hashes.size(), expected_completed);
+        for (const auto &[id, hash] : faulted_hashes) {
+            auto it = clean_hashes.find(id);
+            ASSERT_NE(it, clean_hashes.end());
+            EXPECT_EQ(hash, it->second)
+                << "request " << id
+                << " completed with a different digest after retries";
+        }
     }
 }
 
@@ -321,33 +347,6 @@ TEST(Resilience, ChipKillQuarantinesRequeuesAndRecovers)
     // chip. The machine must keep serving on healthy groups, requeue
     // the victims, readmit repaired groups, and lose nothing.
     const std::size_t n = 12;
-    ServeOptions opt = faultOptions();
-    opt.faults.seed = 9;
-    opt.faults.chip_mtbf_requests = 3.0;
-    opt.faults.chip_repair_ms = 20.0;
-    opt.health_probe_interval_ms = 5.0;
-    opt.retry.max_attempts = 4;
-
-    Server server(faultContext(), opt);
-    server.start();
-    for (std::size_t i = 0; i < n; ++i)
-        ASSERT_TRUE(server.submit(Workload::Keyswitch, 3000 + i));
-    server.drainAndStop();
-
-    const auto stats = server.stats();
-    // The schedule at this seed kills at least one chip.
-    EXPECT_GE(server.scheduler().quarantinesTotal(), 1u);
-    EXPECT_GE(stats.requeued, 1u);
-    // Conservation: every submitted request reached a final fate.
-    EXPECT_EQ(stats.completed + stats.rejected + stats.expired +
-                  stats.failed,
-              stats.submitted);
-    EXPECT_EQ(finalStatuses(server).size(), n);
-    // With repair at 20 ms and 4 attempts, the run makes progress
-    // even through kills — most requests complete.
-    EXPECT_GE(stats.completed, n / 2);
-
-    // Completed-after-requeue outputs equal the unfaulted run's.
     ServeOptions clean = faultOptions();
     Server baseline(faultContext(), clean);
     baseline.start();
@@ -355,10 +354,46 @@ TEST(Resilience, ChipKillQuarantinesRequeuesAndRecovers)
         ASSERT_TRUE(baseline.submit(Workload::Keyswitch, 3000 + i));
     baseline.drainAndStop();
     const auto clean_hashes = completedHashes(baseline);
-    for (const auto &[id, hash] : completedHashes(server)) {
-        auto it = clean_hashes.find(id);
-        ASSERT_NE(it, clean_hashes.end());
-        EXPECT_EQ(hash, it->second);
+
+    ServeOptions opt = faultOptions();
+    opt.faults.seed = 9;
+    opt.faults.chip_mtbf_requests = 3.0;
+    opt.faults.chip_repair_ms = 20.0;
+    opt.health_probe_interval_ms = 5.0;
+    opt.retry.max_attempts = 4;
+
+    // At width 2 a kill aborts the whole batch: every member
+    // requeues, and the group quarantines once.
+    for (const std::size_t width : {1u, 2u}) {
+        SCOPED_TRACE("batch_max_streams " + std::to_string(width));
+        opt.batch_max_streams = width;
+        Server server(faultContext(), opt);
+        server.start();
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_TRUE(server.submit(Workload::Keyswitch, 3000 + i));
+        server.drainAndStop();
+
+        const auto stats = server.stats();
+        // The schedule at this seed kills at least one chip.
+        EXPECT_GE(server.scheduler().quarantinesTotal(), 1u);
+        EXPECT_GE(stats.requeued, 1u);
+        // Conservation: every submitted request reached a final
+        // fate.
+        EXPECT_EQ(stats.completed + stats.rejected + stats.expired +
+                      stats.failed,
+                  stats.submitted);
+        EXPECT_EQ(finalStatuses(server).size(), n);
+        // With repair at 20 ms and 4 attempts, the run makes
+        // progress even through kills — most requests complete.
+        EXPECT_GE(stats.completed, n / 2);
+        expectRetriedRowsTotalTheirParts(server);
+
+        // Completed-after-requeue outputs equal the unfaulted run's.
+        for (const auto &[id, hash] : completedHashes(server)) {
+            auto it = clean_hashes.find(id);
+            ASSERT_NE(it, clean_hashes.end());
+            EXPECT_EQ(hash, it->second);
+        }
     }
 }
 

@@ -94,6 +94,13 @@ completedHashes(const Server &server)
     return hashes;
 }
 
+/**
+ * popFor's wait in the Queue cases: it returns at once when a request
+ * is queued or the queue is closed and drained, so this only bounds
+ * a broken queue.
+ */
+constexpr double kPopWaitMs = 1000.0;
+
 } // namespace
 
 TEST(Percentile, InterpolatesAndClamps)
@@ -117,7 +124,7 @@ TEST(Queue, SaturationRejectsWithBackpressure)
     EXPECT_EQ(q.size(), 4u);
 
     // Draining one slot re-opens admission — no deadlock, no loss.
-    ASSERT_TRUE(q.pop().has_value());
+    ASSERT_TRUE(q.popFor(kPopWaitMs).has_value());
     EXPECT_TRUE(q.submit(Request{}));
 }
 
@@ -128,9 +135,10 @@ TEST(Queue, CloseDrainsPendingThenStops)
     ASSERT_TRUE(q.submit(Request{}));
     q.close();
     EXPECT_FALSE(q.submit(Request{})); // closed: admission rejects
-    EXPECT_TRUE(q.pop().has_value());
-    EXPECT_TRUE(q.pop().has_value());
-    EXPECT_FALSE(q.pop().has_value()); // closed + drained
+    EXPECT_TRUE(q.popFor(kPopWaitMs).has_value());
+    EXPECT_TRUE(q.popFor(kPopWaitMs).has_value());
+    // Closed + drained.
+    EXPECT_FALSE(q.popFor(kPopWaitMs).has_value());
 }
 
 TEST(Scheduler, GroupsNeverOversubscribeChips)
@@ -492,7 +500,7 @@ TEST(Queue, RequeuePreservesTheDeadlineAnchor)
     r.deadline = std::chrono::milliseconds(500);
     ASSERT_TRUE(queue.submit(r));
 
-    auto popped = queue.pop();
+    auto popped = queue.popFor(kPopWaitMs);
     ASSERT_TRUE(popped.has_value());
     const auto born = popped->born;
     ASSERT_NE(born, Clock::time_point{}) << "submit must stamp born";
@@ -503,7 +511,7 @@ TEST(Queue, RequeuePreservesTheDeadlineAnchor)
     ++retry.attempt;
     queue.requeue(std::move(retry));
 
-    auto again = queue.pop();
+    auto again = queue.popFor(kPopWaitMs);
     ASSERT_TRUE(again.has_value());
     // `born` is the cross-attempt anchor: bit-identical after requeue.
     EXPECT_EQ(again->born, born);
@@ -552,7 +560,7 @@ TEST(Queue, SealRefusesRequeueSoCallersFinalizeAsFailed)
     Request r;
     r.id = 1;
     ASSERT_TRUE(queue.submit(r));
-    auto popped = queue.pop();
+    auto popped = queue.popFor(kPopWaitMs);
     ASSERT_TRUE(popped.has_value());
 
     queue.seal();
