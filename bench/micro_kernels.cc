@@ -2,20 +2,26 @@
  * @file
  * Google-benchmark microbenchmarks of the functional substrate: the
  * modular-arithmetic, NTT, base-conversion, and keyswitching kernels
- * the whole framework is built on. These measure this library's CPU
- * performance (useful when using cinnamon as a software FHE library),
- * not the simulated accelerator.
+ * the whole framework is built on, the sampler behind all key
+ * material, and the per-request key materialization of the serving
+ * probe. These measure this library's CPU performance (useful when
+ * using cinnamon as a software FHE library), not the simulated
+ * accelerator.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "common/metrics.h"
 #include "common/random.h"
+#include "compiler/lowering.h"
+#include "compiler/runtime.h"
 #include "fhe/evaluator.h"
 #include "rns/base_conv.h"
 #include "rns/kernels.h"
 #include "rns/modarith.h"
 #include "rns/ntt.h"
 #include "rns/prime_gen.h"
+#include "serve/catalog.h"
 
 using namespace cinnamon;
 
@@ -191,5 +197,64 @@ BM_HomomorphicMul(benchmark::State &state)
     }
 }
 BENCHMARK(BM_HomomorphicMul);
+
+/** Uniform sampling mod a 50-bit prime: the bulk of key generation. */
+static void
+BM_RngUniformVector(benchmark::State &state)
+{
+    Rng rng(9);
+    const uint64_t q = context().modulus(0).value();
+    for (auto _ : state) {
+        auto v = rng.uniformVector(4096, q);
+        benchmark::DoNotOptimize(v.data());
+    }
+    state.SetItemsProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_RngUniformVector);
+
+/**
+ * One served request's host work minus compile: a fresh tenant key
+ * generator and secret, the input encryption, and ProgramRuntime::run
+ * of the serving probe (n = 2^8, 4 chips). The materialize_ms counter
+ * is the runtime's own run-minus-emulation time.
+ */
+static void
+BM_ProbeMaterialize(benchmark::State &state)
+{
+    static fhe::CkksContext ctx(fhe::CkksParams::makeTest(1 << 8, 16, 4));
+    static fhe::Encoder encoder(ctx);
+    static serve::WorkloadCatalog catalog(ctx);
+    static const compiler::CompiledProgram program = [] {
+        compiler::CompilerConfig cfg;
+        cfg.chips = 4;
+        return compiler::Compiler(ctx, cfg).compile(catalog.probe());
+    }();
+    static isa::EmulatorCache emulators(ctx);
+    fhe::Evaluator eval(ctx);
+    auto &materialize =
+        MetricsRegistry::global().histogram("runtime.materialize_ms");
+    const double before = materialize.snapshot().sum;
+    uint64_t seed = 1;
+    for (auto _ : state) {
+        fhe::KeyGenerator keygen(ctx, seed);
+        const fhe::SecretKey sk = keygen.secretKey();
+        Rng data(seed++);
+        std::vector<fhe::Cplx> values(ctx.slots());
+        for (auto &v : values)
+            v = fhe::Cplx(data.uniformReal(-1.0, 1.0), 0.0);
+        const auto ct = eval.encrypt(
+            encoder.encode(values, catalog.probeLevel()),
+            ctx.params().scale, sk, data);
+        compiler::ProgramRuntime runtime(ctx, encoder, keygen, sk);
+        runtime.setEmulatorCache(&emulators);
+        runtime.bindInput("x", ct);
+        auto outputs = runtime.run(program);
+        benchmark::DoNotOptimize(outputs);
+    }
+    state.counters["materialize_ms"] = benchmark::Counter(
+        materialize.snapshot().sum - before,
+        benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ProbeMaterialize)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

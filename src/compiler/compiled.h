@@ -21,6 +21,7 @@
 
 #include "compiler/ks_pass.h"
 #include "compiler/regalloc.h"
+#include "fhe/params.h"
 #include "isa/isa.h"
 #include "rns/context.h"
 
@@ -98,6 +99,57 @@ struct CompilerConfig
  */
 std::string cacheKeyOf(const CompilerConfig &config);
 
+/**
+ * What the runtime stores into chip memory before every run, computed
+ * once at compile time by one dense pass over the final (allocated)
+ * streams. Sources are named by index, never by pointer, so a copied
+ * CompiledProgram's table stays valid.
+ */
+struct PreloadTable
+{
+    /** One program.data address a chip loads. */
+    struct Load
+    {
+        uint64_t addr = 0;
+        DataDescriptor::Kind kind = DataDescriptor::Kind::InputCt;
+        bool dirtied = false; ///< the chip also Stores to addr
+        int poly = 0;         ///< ciphertext/key polynomial (0/1)
+        uint32_t prime = 0;
+        uint32_t source = 0; ///< index into inputs / plains / keys
+        uint32_t digit = 0;  ///< EvalKey: key digit
+        uint32_t pos = 0;    ///< EvalKey: index of prime in the digit's limbs
+    };
+
+    /** A distinct plaintext encoding. */
+    struct Plain
+    {
+        std::string name;
+        std::size_t level = 0;
+        double scale = 0.0;
+    };
+
+    /** A distinct evaluation key and the limbs the program loads. */
+    struct Key
+    {
+        /** name:chip_digits:group_size — seeds the key's generator. */
+        std::string identity;
+        /** Galois element, or fhe::KeyGenerator::kRelin (s² → s). */
+        uint64_t galois = 0;
+        bool chip_digits = false;
+        uint32_t group_size = 0;
+        /** Per key digit, the primes any chip loads, ascending. */
+        std::vector<rns::Basis> limbs;
+    };
+
+    /** Per chip: the data addresses it loads, in first-use order. */
+    std::vector<std::vector<Load>> chips;
+    /** Per chip: distinct Load/Store addresses (ChipMemory::reserve). */
+    std::vector<std::size_t> footprint;
+    std::vector<std::string> inputs; ///< distinct input ciphertexts
+    std::vector<Plain> plains;
+    std::vector<Key> keys;
+};
+
 /** The full compiler output. */
 struct CompiledProgram
 {
@@ -108,6 +160,7 @@ struct CompiledProgram
     CompilerConfig config;
     KsPassResult ks_pass;
     RegAllocStats regalloc; ///< zeroed when allocation is disabled
+    PreloadTable preload;
 };
 
 /**
@@ -118,6 +171,14 @@ struct CompiledProgram
  */
 std::vector<rns::Basis> chipDigitBases(std::size_t level,
                                        std::size_t group_size);
+
+/**
+ * The digit partition of the evaluation key `key` names: the per-chip
+ * partition for output-aggregation keys, else the context's digits,
+ * both at the top level.
+ */
+std::vector<rns::Basis> keyDigitBases(const fhe::CkksContext &ctx,
+                                      const PreloadTable::Key &key);
 
 } // namespace cinnamon::compiler
 

@@ -1,6 +1,7 @@
 #include "compiler/lowering.h"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <utility>
 
@@ -10,6 +11,7 @@
 #include "compiler/poly_ir.h"
 #include "compiler/regalloc.h"
 #include "compiler/strategy.h"
+#include "fhe/keys.h"
 
 namespace cinnamon::compiler {
 
@@ -143,7 +145,174 @@ lowerIsaPass(PassContext &pcx)
     pcx.out = std::move(out);
 }
 
+/**
+ * The preload table (CompiledProgram::preload) of a finished program:
+ * one pass over the descriptors names every source by index, then one
+ * pass over each chip's final stream records its first-use loads of
+ * program data, whether it also Stores there, and its footprint.
+ * Program data occupies the dense addresses [1, data.size()]; spill
+ * slots follow, so a flag array per chip replaces every set.
+ */
+PreloadTable
+buildPreloadTable(const CompiledProgram &program,
+                  const fhe::CkksContext &ctx)
+{
+    using Kind = DataDescriptor::Kind;
+    PreloadTable table;
+    const uint64_t data_end = program.data.size() + 1;
+    CINN_ASSERT(program.data.empty() ||
+                    program.data.rbegin()->first + 1 == data_end,
+                "program data addresses must be dense from 1");
+
+    // Source of every data address. Plains and keys are found by name
+    // first, so a repeat lookup allocates nothing.
+    std::vector<PreloadTable::Load> source(data_end);
+    std::map<std::string, uint32_t> input_of;
+    std::map<std::string, std::vector<uint32_t>> plains_named, keys_named;
+    for (const auto &[addr, desc] : program.data) {
+        PreloadTable::Load &src = source[addr];
+        src.addr = addr;
+        src.kind = desc.kind;
+        src.poly = desc.poly;
+        src.prime = desc.prime;
+        switch (desc.kind) {
+          case Kind::InputCt: {
+            const auto [it, fresh] = input_of.try_emplace(
+                desc.name, static_cast<uint32_t>(table.inputs.size()));
+            if (fresh)
+                table.inputs.push_back(desc.name);
+            src.source = it->second;
+            break;
+          }
+          case Kind::Plain: {
+            auto &named = plains_named[desc.name];
+            const auto it = std::find_if(
+                named.begin(), named.end(), [&](uint32_t i) {
+                    return table.plains[i].level == desc.level &&
+                           table.plains[i].scale == desc.scale;
+                });
+            if (it != named.end()) {
+                src.source = *it;
+                break;
+            }
+            src.source = static_cast<uint32_t>(table.plains.size());
+            named.push_back(src.source);
+            table.plains.push_back({desc.name, desc.level, desc.scale});
+            break;
+          }
+          case Kind::EvalKey: {
+            auto &named = keys_named[desc.name];
+            const auto it = std::find_if(
+                named.begin(), named.end(), [&](uint32_t i) {
+                    return table.keys[i].chip_digits == desc.chip_digits &&
+                           table.keys[i].group_size == desc.group_size;
+                });
+            if (it != named.end()) {
+                src.source = *it;
+            } else {
+                // The identity deliberately omits any batch copy: it
+                // seeds the key's generator, and a batched member must
+                // draw exactly the keys an unbatched run would.
+                PreloadTable::Key key;
+                key.identity = desc.name + ':' +
+                               (desc.chip_digits ? '1' : '0') + ':' +
+                               std::to_string(desc.group_size);
+                key.galois = desc.name == "relin"
+                                 ? fhe::KeyGenerator::kRelin
+                                 : desc.galois;
+                key.chip_digits = desc.chip_digits;
+                key.group_size = desc.group_size;
+                key.limbs.resize(keyDigitBases(ctx, key).size());
+                src.source = static_cast<uint32_t>(table.keys.size());
+                named.push_back(src.source);
+                table.keys.push_back(std::move(key));
+            }
+            src.digit = static_cast<uint32_t>(desc.digit);
+            CINN_ASSERT(desc.digit < table.keys[src.source].limbs.size(),
+                        "evaluation key digit out of range");
+            break;
+          }
+          case Kind::Output:
+            break;
+        }
+    }
+
+    // key_slot[k][digit * key_primes + prime] is set once any chip
+    // loads that limb of key k, and later becomes its position.
+    const std::size_t key_primes = ctx.keyBasis().size();
+    std::vector<std::vector<uint32_t>> key_slot(table.keys.size());
+    for (std::size_t k = 0; k < table.keys.size(); ++k)
+        key_slot[k].assign(table.keys[k].limbs.size() * key_primes, 0);
+
+    // Per chip: first-use loads of program data, the addresses the chip
+    // Stores to, and its footprint. A Load past the data is a spill
+    // slot, produced by a Store at run time.
+    enum : uint8_t { kTouched = 1, kLoaded = 2, kStored = 4 };
+    const std::size_t chips = program.machine.numChips();
+    table.chips.resize(chips);
+    table.footprint.assign(chips, 0);
+    std::vector<uint8_t> seen;
+    for (std::size_t c = 0; c < chips; ++c) {
+        seen.assign(data_end, 0);
+        auto &loads = table.chips[c];
+        for (const isa::Instruction &ins : program.machine.chips[c].instrs) {
+            if (ins.op != isa::Opcode::Load && ins.op != isa::Opcode::Store)
+                continue;
+            if (ins.imm >= seen.size())
+                seen.resize(ins.imm + 1, 0);
+            uint8_t &mark = seen[ins.imm];
+            if (mark == 0)
+                ++table.footprint[c];
+            mark |= kTouched;
+            if (ins.op == isa::Opcode::Store) {
+                mark |= kStored;
+                continue;
+            }
+            if (ins.imm >= data_end || (mark & kLoaded))
+                continue;
+            mark |= kLoaded;
+            const PreloadTable::Load &src = source[ins.imm];
+            CINN_ASSERT(src.kind != Kind::Output,
+                        "outputs are not materialized as inputs");
+            loads.push_back(src);
+            if (src.kind == Kind::EvalKey)
+                key_slot[src.source][src.digit * key_primes + src.prime] =
+                    1;
+        }
+        for (PreloadTable::Load &load : loads)
+            load.dirtied = (seen[load.addr] & kStored) != 0;
+    }
+
+    // Each key digit's loaded primes, ascending, and every key load's
+    // position among them.
+    for (std::size_t k = 0; k < table.keys.size(); ++k) {
+        auto &key = table.keys[k];
+        for (std::size_t d = 0; d < key.limbs.size(); ++d) {
+            for (uint32_t p = 0; p < key_primes; ++p) {
+                uint32_t &slot = key_slot[k][d * key_primes + p];
+                if (slot == 0)
+                    continue;
+                slot = static_cast<uint32_t>(key.limbs[d].size());
+                key.limbs[d].push_back(p);
+            }
+        }
+    }
+    for (auto &loads : table.chips)
+        for (PreloadTable::Load &load : loads)
+            if (load.kind == Kind::EvalKey)
+                load.pos = key_slot[load.source]
+                                   [load.digit * key_primes + load.prime];
+    return table;
+}
+
 } // namespace
+
+std::vector<rns::Basis>
+keyDigitBases(const fhe::CkksContext &ctx, const PreloadTable::Key &key)
+{
+    return key.chip_digits ? chipDigitBases(ctx.maxLevel(), key.group_size)
+                           : ctx.digits(ctx.maxLevel());
+}
 
 std::vector<rns::Basis>
 chipDigitBases(std::size_t level, std::size_t group_size)
@@ -280,6 +449,7 @@ Compiler::compile(const Program &program)
     PassManager pm;
     buildCompilerPipeline(pm);
     pm.run(pcx, dump_);
+    pcx.out.preload = buildPreloadTable(pcx.out, *ctx_);
     return std::move(pcx.out);
 }
 

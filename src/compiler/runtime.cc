@@ -1,11 +1,16 @@
 #include "compiler/runtime.h"
 
-#include <sstream>
-#include <unordered_set>
+#include <chrono>
 
 #include "common/logging.h"
+#include "common/metrics.h"
+#include "common/task_pool.h"
 
 namespace cinnamon::compiler {
+
+namespace {
+using Clock = std::chrono::steady_clock;
+} // namespace
 
 void
 ProgramRuntime::bindInput(const std::string &name,
@@ -20,115 +25,102 @@ ProgramRuntime::bindPlain(const std::string &name,
                           std::vector<fhe::Cplx> values)
 {
     plains_[name] = std::move(values);
+    // Drop the old values' encodings.
+    for (auto it = plain_cache_.begin(); it != plain_cache_.end();)
+        it = std::get<0>(it->first) == name ? plain_cache_.erase(it)
+                                            : std::next(it);
     ++bindings_version_;
 }
 
-const fhe::EvalKey &
-ProgramRuntime::evalKeyFor(const DataDescriptor &desc, std::size_t copy)
+std::vector<const fhe::EvalKey *>
+ProgramRuntime::keysFor(const PreloadTable &table, std::size_t copies)
 {
-    // The *identity* string is deliberately copy-free: it seeds the
-    // derived generator, and a batched member's keys must be drawn
-    // from exactly the identities an unbatched run would use so the
-    // member's outputs stay bit-identical. Only the cache key carries
-    // the copy index, to keep different members' keys apart.
-    std::ostringstream identity;
-    identity << desc.name << ':' << desc.chip_digits << ':'
-             << desc.group_size;
-    std::ostringstream cache_key;
-    cache_key << copy << '#' << identity.str();
-    auto it = key_cache_.find(cache_key.str());
-    if (it != key_cache_.end())
-        return it->second;
-
-    fhe::KeyGenerator *keygen = keygen_;
-    const fhe::SecretKey *sk = sk_;
-    if (!copy_keys_.empty()) {
-        CINN_ASSERT(copy < copy_keys_.size(),
-                    "no key material for batch copy " << copy);
-        keygen = copy_keys_[copy].keygen;
-        sk = copy_keys_[copy].sk;
-    }
-
-    // Draw the key from a generator derived from (master seed, key
-    // identity): the key bits are then independent of the order the
-    // compiled program first loads its keys in, so reordering passes
-    // in the compiler cannot perturb emulator outputs.
-    fhe::KeyGenerator kg = keygen->derived(identity.str());
-    fhe::EvalKey evk;
-    if (desc.chip_digits) {
-        const auto digits =
-            chipDigitBases(ctx_->maxLevel(), desc.group_size);
-        if (desc.name == "relin") {
-            auto s2 = sk->s.mul(sk->s);
-            evk = kg.makeKeySwitchKeyForDigits(*sk, s2, digits);
-        } else {
-            evk = kg.galoisKeyForDigits(*sk, desc.galois, digits);
-        }
-    } else {
-        if (desc.name == "relin") {
-            evk = kg.relinKey(*sk);
-        } else {
-            evk = kg.galoisKey(*sk, desc.galois);
+    const std::size_t nkeys = table.keys.size();
+    std::vector<const fhe::EvalKey *> keys(copies * nkeys, nullptr);
+    std::vector<std::size_t> missing; // indices into `keys`
+    for (std::size_t copy = 0; copy < copies; ++copy) {
+        for (std::size_t k = 0; k < nkeys; ++k) {
+            const auto it =
+                key_cache_.find({copy, table.keys[k].identity});
+            if (it != key_cache_.end() &&
+                it->second.limbs == table.keys[k].limbs)
+                keys[copy * nkeys + k] = &it->second.key;
+            else
+                missing.push_back(copy * nkeys + k);
         }
     }
-    return key_cache_.emplace(cache_key.str(), std::move(evk))
-        .first->second;
+    if (missing.empty())
+        return keys;
+
+    // Each key comes from a generator derived from (its copy's master
+    // seed, key identity), so the bits depend neither on the order
+    // the program loads keys in nor on which worker draws them.
+    std::vector<fhe::EvalKey> fresh(missing.size());
+    TaskPool::global().forEach(missing.size(), [&](std::size_t i) {
+        const std::size_t copy = missing[i] / nkeys;
+        const PreloadTable::Key &key = table.keys[missing[i] % nkeys];
+        fhe::KeyGenerator *keygen = keygen_;
+        const fhe::SecretKey *sk = sk_;
+        if (!copy_keys_.empty()) {
+            keygen = copy_keys_[copy].keygen;
+            sk = copy_keys_[copy].sk;
+        }
+        fhe::KeyGenerator kg = keygen->derived(key.identity);
+        fresh[i] = kg.keyLimbs(*sk, key.galois,
+                               keyDigitBases(*ctx_, key), key.limbs);
+    });
+
+    double limbs = 0.0, full = 0.0;
+    for (std::size_t i = 0; i < missing.size(); ++i) {
+        const std::size_t copy = missing[i] / nkeys;
+        const PreloadTable::Key &key = table.keys[missing[i] % nkeys];
+        for (const rns::Basis &primes : key.limbs)
+            limbs += 2.0 * static_cast<double>(primes.size());
+        full += 2.0 * static_cast<double>(key.limbs.size() *
+                                          ctx_->keyBasis().size());
+        CachedKey &slot = key_cache_[{copy, key.identity}];
+        slot.limbs = key.limbs;
+        slot.key = std::move(fresh[i]);
+        keys[missing[i]] = &slot.key;
+    }
+    auto &metrics = MetricsRegistry::global();
+    metrics.counter("runtime.keys.generated")
+        .add(static_cast<double>(missing.size()));
+    metrics.counter("runtime.key_limbs.generated").add(limbs);
+    metrics.counter("runtime.key_limbs.full").add(full);
+    return keys;
 }
 
-isa::LimbRef
-ProgramRuntime::materialize(const DataDescriptor &desc, std::size_t copy)
+std::vector<const rns::RnsPoly *>
+ProgramRuntime::plainsFor(const PreloadTable &table)
 {
-    switch (desc.kind) {
-      case DataDescriptor::Kind::InputCt: {
-        auto it = inputs_.find(desc.name);
-        CINN_FATAL_UNLESS(it != inputs_.end(),
-                          "unbound program input '" << desc.name << "'");
-        const fhe::Ciphertext &ct = it->second;
-        const rns::RnsPoly &p = desc.poly == 0 ? ct.c0 : ct.c1;
-        int pos = p.findPrime(desc.prime);
-        CINN_FATAL_UNLESS(pos >= 0, "input '" << desc.name
-                                              << "' lacks limb "
-                                              << desc.prime);
-        return isa::LimbRef{desc.prime, p.limb(pos)};
-      }
-      case DataDescriptor::Kind::Plain: {
-        std::ostringstream key;
-        key << desc.name << ':' << desc.level << ':' << desc.scale;
-        auto cached = plain_cache_.find(key.str());
+    std::vector<const rns::RnsPoly *> plains;
+    plains.reserve(table.plains.size());
+    for (const PreloadTable::Plain &plain : table.plains) {
+        auto cached =
+            plain_cache_.find({plain.name, plain.level, plain.scale});
         if (cached == plain_cache_.end()) {
-            auto it = plains_.find(desc.name);
+            auto it = plains_.find(plain.name);
             CINN_FATAL_UNLESS(it != plains_.end(),
-                              "unbound plaintext '" << desc.name << "'");
-            auto poly = encoder_->encode(it->second, desc.level,
-                                         desc.scale);
+                              "unbound plaintext '" << plain.name << "'");
+            auto poly =
+                encoder_->encode(it->second, plain.level, plain.scale);
             poly.toEval();
-            cached = plain_cache_.emplace(key.str(), std::move(poly))
+            cached = plain_cache_
+                         .emplace(std::make_tuple(plain.name, plain.level,
+                                                  plain.scale),
+                                  std::move(poly))
                          .first;
         }
-        int pos = cached->second.findPrime(desc.prime);
-        CINN_ASSERT(pos >= 0, "plaintext limb missing");
-        return isa::LimbRef{desc.prime, cached->second.limb(pos)};
-      }
-      case DataDescriptor::Kind::EvalKey: {
-        const fhe::EvalKey &evk = evalKeyFor(desc, copy);
-        CINN_ASSERT(desc.digit < evk.parts.size(),
-                    "evaluation key digit out of range");
-        const rns::RnsPoly &p = desc.poly == 0
-                                    ? evk.parts[desc.digit].first
-                                    : evk.parts[desc.digit].second;
-        int pos = p.findPrime(desc.prime);
-        CINN_ASSERT(pos >= 0, "evaluation key limb missing");
-        return isa::LimbRef{desc.prime, p.limb(pos)};
-      }
-      case DataDescriptor::Kind::Output:
-        panic("outputs are not materialized as inputs");
+        plains.push_back(&cached->second);
     }
-    panic("unreachable");
+    return plains;
 }
 
 std::map<std::string, fhe::Ciphertext>
 ProgramRuntime::run(const CompiledProgram &program)
 {
+    const auto run_start = Clock::now();
     const std::size_t chips = program.machine.numChips();
     if (emu_ && emu_chips_ != chips) {
         if (emu_cache_)
@@ -170,13 +162,17 @@ ProgramRuntime::run(const CompiledProgram &program)
         emu.clearFault();
     }
 
-    // Materialize exactly the addresses each chip loads. Every
-    // address is (re-)stored each run — stores to mapped addresses
-    // overwrite in place — so reusing the emulator never leaks data
-    // from a prior run or a prior input binding into this one.
-    // With batched key material (setCopyKeys) the chips partition
-    // evenly into copies, and each chip's evaluation keys come from
-    // its copy's generator.
+    // Store exactly the limbs each chip loads, as the program's
+    // preload table lists them. Every address is (re-)stored each run
+    // — stores to mapped addresses overwrite in place — so reusing the
+    // emulator never leaks data from a prior run or a prior input
+    // binding into this one. With batched key material (setCopyKeys)
+    // the chips partition evenly into copies, and each chip's
+    // evaluation keys come from its copy's generator.
+    const PreloadTable &table = program.preload;
+    CINN_FATAL_UNLESS(table.chips.size() == chips,
+                      "program has no preload table for its " << chips
+                          << " chips (build it with Compiler::compile)");
     const std::size_t copies =
         copy_keys_.empty() ? 1 : copy_keys_.size();
     CINN_FATAL_UNLESS(chips % copies == 0,
@@ -184,51 +180,73 @@ ProgramRuntime::run(const CompiledProgram &program)
                           << ") must split evenly over " << copies
                           << " copies");
     const std::size_t chips_per_copy = chips / copies;
+    std::vector<const fhe::Ciphertext *> inputs;
+    inputs.reserve(table.inputs.size());
+    for (const std::string &name : table.inputs) {
+        auto it = inputs_.find(name);
+        CINN_FATAL_UNLESS(it != inputs_.end(),
+                          "unbound program input '" << name << "'");
+        inputs.push_back(&it->second);
+    }
+    const auto plains = plainsFor(table);
+    const auto keys = keysFor(table, copies);
     // Re-running the identical program on the same emulator with no
     // binding changed in between: any pre-loaded address the program
     // never Stores to still holds exactly the limb the previous run
     // stored there (only Store instructions and this loop ever write
-    // chip memory), so its materialize+memcpy is skipped. A partial
-    // previous run (injected fault) is covered too — the clean set is
-    // computed from the program text, not from what executed.
+    // chip memory), so its copy is skipped. A partial previous run
+    // (injected fault) is covered too — `dirtied` comes from the
+    // program text, not from what executed.
     const bool reuse_clean = prestored_program_ == &program &&
                              prestored_version_ == bindings_version_;
-    std::unordered_set<uint64_t> footprint;
-    std::unordered_set<uint64_t> dirtied;
     for (std::size_t c = 0; c < chips; ++c) {
         const std::size_t copy = c / chips_per_copy;
-        // Pre-size the chip's arena/tables to the stream's declared
-        // footprint (distinct Load/Store addresses) so the store hot
-        // path never reallocates or rehashes mid-run.
-        footprint.clear();
-        dirtied.clear();
-        for (const auto &ins : program.machine.chips[c].instrs) {
-            if (ins.op == isa::Opcode::Load ||
-                ins.op == isa::Opcode::Store)
-                footprint.insert(ins.imm);
-            if (ins.op == isa::Opcode::Store)
-                dirtied.insert(ins.imm);
-        }
-        emu.memory(c).reserve(footprint.size());
-        std::unordered_set<uint64_t> stored;
-        for (const auto &ins : program.machine.chips[c].instrs) {
-            if (ins.op != isa::Opcode::Load)
-                continue;
-            auto it = program.data.find(ins.imm);
-            if (it == program.data.end())
-                continue; // spill slot, produced by a Store at run time
-            if (!stored.insert(ins.imm).second)
-                continue;
-            if (reuse_clean && dirtied.find(ins.imm) == dirtied.end())
+        // Pre-size the chip's arena/tables to the stream's footprint
+        // so the store hot path never reallocates or rehashes mid-run.
+        emu.memory(c).reserve(table.footprint[c]);
+        for (const PreloadTable::Load &load : table.chips[c]) {
+            if (reuse_clean && !load.dirtied)
                 continue; // still holds last run's identical limb
-            const isa::LimbRef limb = materialize(it->second, copy);
-            emu.memory(c).store(ins.imm, limb.prime, limb.data);
+            rns::ConstLimbSpan limb;
+            switch (load.kind) {
+              case DataDescriptor::Kind::InputCt: {
+                const fhe::Ciphertext &ct = *inputs[load.source];
+                const rns::RnsPoly &p = load.poly == 0 ? ct.c0 : ct.c1;
+                const int pos = p.findPrime(load.prime);
+                CINN_FATAL_UNLESS(pos >= 0,
+                                  "input '" << table.inputs[load.source]
+                                            << "' lacks limb "
+                                            << load.prime);
+                limb = p.limb(pos);
+                break;
+              }
+              case DataDescriptor::Kind::Plain: {
+                const rns::RnsPoly &p = *plains[load.source];
+                const int pos = p.findPrime(load.prime);
+                CINN_ASSERT(pos >= 0, "plaintext limb missing");
+                limb = p.limb(pos);
+                break;
+              }
+              case DataDescriptor::Kind::EvalKey: {
+                const fhe::EvalKey &evk =
+                    *keys[copy * table.keys.size() + load.source];
+                const auto &part = evk.parts[load.digit];
+                limb = (load.poly == 0 ? part.first : part.second)
+                           .limb(load.pos);
+                break;
+              }
+              case DataDescriptor::Kind::Output:
+                panic("outputs are not materialized as inputs");
+            }
+            emu.memory(c).store(load.addr, load.prime, limb);
         }
     }
     prestored_program_ = &program;
     prestored_version_ = bindings_version_;
 
+    const auto emulate_start = Clock::now();
     emu.run(program.machine);
+    const auto emulate_end = Clock::now();
     last_stats_ = emu.lastRunStats();
 
     // Collect outputs from the owner chips' memories.
@@ -252,6 +270,13 @@ ProgramRuntime::run(const CompiledProgram &program)
         }
         outputs.emplace(name, std::move(ct));
     }
+    const auto ms = [](Clock::duration d) {
+        return std::chrono::duration<double, std::milli>(d).count();
+    };
+    MetricsRegistry::global()
+        .histogram("runtime.materialize_ms")
+        .observe(ms(Clock::now() - run_start) -
+                 ms(emulate_end - emulate_start));
     return outputs;
 }
 

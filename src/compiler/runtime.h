@@ -2,15 +2,20 @@
  * @file
  * Execution runtime for compiled programs.
  *
- * The runtime materializes every DataDescriptor of a CompiledProgram
- * into the ISA emulator's per-chip memories — input ciphertext limbs,
- * encoded plaintext limbs, and evaluation-key limbs (generating the
- * exact key material each keyswitch variant expects, including
- * chip-digit-partition keys for output-aggregation batches) — then
- * runs the program and reassembles the named outputs into ordinary
+ * The runtime walks a CompiledProgram's preload table and stores every
+ * limb the program loads into the ISA emulator's per-chip memories —
+ * input ciphertext limbs, encoded plaintext limbs, and evaluation-key
+ * limbs (generating the exact key material each keyswitch variant
+ * expects, including chip-digit-partition keys for output-aggregation
+ * batches, but only at the limbs the program loads) — then runs the
+ * program and reassembles the named outputs into ordinary
  * Ciphertexts. It is the bridge that lets compiled instruction
  * streams be validated against the fhe/ reference implementation
  * (Section 6.2's correctness methodology).
+ *
+ * Metrics (process registry): runtime.materialize_ms (run time minus
+ * emulation), runtime.keys.generated, runtime.key_limbs.generated and
+ * runtime.key_limbs.full (the limbs whole keys would have had).
  */
 
 #ifndef CINNAMON_COMPILER_RUNTIME_H_
@@ -19,6 +24,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "compiler/compiled.h"
@@ -86,6 +93,7 @@ class ProgramRuntime
     void setCopyKeys(std::vector<CopyKeys> copies)
     {
         copy_keys_ = std::move(copies);
+        key_cache_.clear();
         ++bindings_version_;
     }
 
@@ -126,16 +134,14 @@ class ProgramRuntime
 
   private:
     /**
-     * Produce the limb a descriptor names, as a view into runtime-
-     * owned storage (inputs / plaintext cache / key cache), valid for
-     * the lifetime of this runtime.
+     * The program's evaluation keys, [copy * keys + k], from the cache
+     * or generated concurrently on the shared TaskPool.
      */
-    isa::LimbRef materialize(const DataDescriptor &desc,
-                             std::size_t copy);
+    std::vector<const fhe::EvalKey *>
+    keysFor(const PreloadTable &table, std::size_t copies);
 
-    /** Fetch or create the evaluation key a descriptor names. */
-    const fhe::EvalKey &evalKeyFor(const DataDescriptor &desc,
-                                   std::size_t copy);
+    /** The program's plaintexts, encoded on first use. */
+    std::vector<const rns::RnsPoly *> plainsFor(const PreloadTable &table);
 
     const fhe::CkksContext *ctx_;
     const fhe::Encoder *encoder_;
@@ -144,9 +150,21 @@ class ProgramRuntime
 
     std::map<std::string, fhe::Ciphertext> inputs_;
     std::map<std::string, std::vector<fhe::Cplx>> plains_;
-    std::map<std::string, fhe::EvalKey> key_cache_;
+    /** A generated key and the limbs it holds. */
+    struct CachedKey
+    {
+        std::vector<rns::Basis> limbs;
+        fhe::EvalKey key;
+    };
+    /**
+     * Keys by (batch copy, identity). An entry serves a program only if
+     * it holds exactly the limbs that program loads.
+     */
+    std::map<std::pair<std::size_t, std::string>, CachedKey> key_cache_;
     std::vector<CopyKeys> copy_keys_; ///< empty = single tenant
-    std::map<std::string, rns::RnsPoly> plain_cache_;
+    /** Encoded plaintexts by (name, level, scale). */
+    std::map<std::tuple<std::string, std::size_t, double>, rns::RnsPoly>
+        plain_cache_;
     /**
      * The emulator is kept across run() calls (rebuilt only when the
      * chip count changes) so its arena, register files, and address

@@ -12,11 +12,17 @@
  * irrelevant (they carry a factor P ≡ 0), so the per-prime factor
  * reduces to (P mod q) * [q ∈ digit j] — no big-integer arithmetic is
  * required anywhere in key generation.
+ *
+ * Every limb of a key is therefore independent of every other limb
+ * once the random draws are fixed, which is what lets one routine
+ * (KeyGenerator::keySwitchKey) build either a whole key or only the
+ * limbs a compiled program loads, bit-identically.
  */
 
 #ifndef CINNAMON_FHE_KEYS_H_
 #define CINNAMON_FHE_KEYS_H_
 
+#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
@@ -120,11 +126,43 @@ class KeyGenerator
     EvalKey galoisKeyForDigits(const SecretKey &sk, uint64_t galois,
                                const std::vector<rns::Basis> &digits);
 
+    /** The `galois` argument of keyLimbs() that names s² (relin). */
+    static constexpr uint64_t kRelin = 0;
+
+    /**
+     * Part of a relinearization (galois = kRelin) or Galois key: digit
+     * j holds (b_j, a_j) at exactly the primes limbs[j], in that
+     * order (any subset of the key basis; empty leaves the digit
+     * empty). Every limb equals the same limb of the full key drawn
+     * from this generator's current state.
+     */
+    EvalKey keyLimbs(const SecretKey &sk, uint64_t galois,
+                     const std::vector<rns::Basis> &digits,
+                     const std::vector<rns::Basis> &limbs);
+
     Rng &rng() { return rng_; }
 
     uint64_t seed() const { return seed_; }
 
   private:
+    /** s_old at the given primes, Eval domain. */
+    using OldSecretAt = std::function<rns::RnsPoly(const rns::Basis &)>;
+
+    /**
+     * The one keyswitching-key routine. Per digit it draws every key-
+     * basis limb's uniform values and then the gaussian error, in the
+     * same order whatever `limbs` asks for, but computes
+     * a, b = e - a·s + (P mod q)[q ∈ D_j]·s_old and s_old only at the
+     * requested primes.
+     */
+    EvalKey keySwitchKey(const SecretKey &sk, const OldSecretAt &old_at,
+                         const std::vector<rns::Basis> &digits,
+                         const std::vector<rns::Basis> &limbs);
+
+    /** keySwitchKey over every limb of the key basis. */
+    EvalKey fullKey(const SecretKey &sk, const OldSecretAt &old_at,
+                    const std::vector<rns::Basis> &digits);
+
     /** Sample a uniform polynomial over `basis` in the Eval domain. */
     rns::RnsPoly sampleUniform(const rns::Basis &basis);
 

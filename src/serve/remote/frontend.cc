@@ -145,28 +145,19 @@ RemoteFrontEnd::submit(Workload workload, uint64_t seed,
 void
 RemoteFrontEnd::dispatchLoop()
 {
-    const bool batched = options_.batch_max_streams > 1;
+    // Width 1 is a batch of one, exactly as in Server.
     while (!stop_dispatch_.load()) {
-        if (batched) {
-            auto batch = batcher_->next(options_.batch_max_streams);
-            if (batch.empty()) {
-                // Closed and drained — but requeues may still arrive
-                // until stop_dispatch_ flips, so idle one tick instead
-                // of spinning on the empty queue.
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double, std::milli>(
-                        options_.tick_ms));
-                continue;
-            }
-            dispatch(std::move(batch));
+        auto batch = batcher_->next(options_.batch_max_streams);
+        if (batch.empty()) {
+            // Closed and drained — but requeues may still arrive until
+            // stop_dispatch_ flips, so idle one tick instead of
+            // spinning on the empty queue.
+            std::this_thread::sleep_for(
+                std::chrono::duration<double, std::milli>(
+                    options_.tick_ms));
             continue;
         }
-        auto request = queue_->popFor(options_.tick_ms);
-        if (!request)
-            continue;
-        std::vector<Request> solo;
-        solo.push_back(std::move(*request));
-        dispatch(std::move(solo));
+        dispatch(std::move(batch));
     }
 }
 

@@ -63,9 +63,17 @@ ChipGroupScheduler::ChipGroupScheduler(std::size_t chips,
     quarantined_.assign(groups, 0);
     quarantined_since_.assign(groups, Clock::time_point{});
     chip_failed_.assign(chips, 0);
-    free_.reserve(groups);
-    for (std::size_t g = groups; g-- > 0;)
-        free_.push_back(g); // pop_back hands out group 0 first
+    for (std::size_t g = 0; g < groups; ++g)
+        free_.push_back(g); // a fresh scheduler hands out group 0 first
+}
+
+std::size_t
+ChipGroupScheduler::leaseLocked(Clock::time_point now)
+{
+    const std::size_t group = free_.front();
+    free_.pop_front();
+    busy_since_[group] = now;
+    return group;
 }
 
 GroupLease
@@ -87,9 +95,7 @@ ChipGroupScheduler::acquire()
         throw NoHealthyGroupsError();
     }
     ++serving_ticket_;
-    const std::size_t group = free_.back();
-    free_.pop_back();
-    busy_since_[group] = Clock::now();
+    const std::size_t group = leaseLocked(Clock::now());
     // Wake the next ticket holder (they wait on the same cv).
     freed_.notify_all();
     return GroupLease(this, group);
@@ -117,12 +123,8 @@ ChipGroupScheduler::acquireUpTo(std::size_t max_groups)
     // lease we already hold for latency.
     std::vector<std::size_t> groups;
     const auto now = Clock::now();
-    while (!free_.empty() && groups.size() < max_groups) {
-        const std::size_t group = free_.back();
-        free_.pop_back();
-        busy_since_[group] = now;
-        groups.push_back(group);
-    }
+    while (!free_.empty() && groups.size() < max_groups)
+        groups.push_back(leaseLocked(now));
     freed_.notify_all();
     return BatchLease(this, std::move(groups));
 }
@@ -134,10 +136,7 @@ ChipGroupScheduler::tryAcquire()
     // Respect FIFO: if someone holds an earlier ticket, don't overtake.
     if (next_ticket_ != serving_ticket_ || free_.empty())
         return GroupLease();
-    const std::size_t group = free_.back();
-    free_.pop_back();
-    busy_since_[group] = Clock::now();
-    return GroupLease(this, group);
+    return GroupLease(this, leaseLocked(Clock::now()));
 }
 
 GroupLease

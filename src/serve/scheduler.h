@@ -9,8 +9,10 @@
  * one request at a time. The scheduler hands out whole groups —
  * a chip can never belong to two leases at once — and admits waiters
  * in strict FIFO ticket order so a burst of workers cannot starve an
- * early one. Per-group busy time is accounted on release, which is
- * what the ServeStats utilization report is built from.
+ * early one. Free groups are handed out least recently released
+ * first, so load spreads over every group even when lessees take
+ * turns one at a time. Per-group busy time is accounted on release,
+ * which is what the ServeStats utilization report is built from.
  *
  * Degraded mode: when a chip dies mid-program (markChipFailed) its
  * whole group is quarantined — release() parks it instead of freeing
@@ -26,6 +28,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
@@ -244,10 +247,17 @@ class ChipGroupScheduler
     /** Readmit one group; caller holds mutex_. */
     void readmitLocked(std::size_t group);
 
+    /**
+     * Lease the least recently released free group (the free list is
+     * FIFO, so serialized lessees still rotate through every group);
+     * caller holds mutex_ and has checked free_ is non-empty.
+     */
+    std::size_t leaseLocked(Clock::time_point now);
+
     const std::size_t group_size_;
     mutable std::mutex mutex_;
     std::condition_variable freed_;
-    std::vector<std::size_t> free_;         ///< free-group LIFO
+    std::deque<std::size_t> free_;          ///< free groups, FIFO
     std::vector<Clock::time_point> busy_since_; ///< epoch = free
     std::vector<double> busy_seconds_;
     std::vector<uint8_t> quarantined_;      ///< per group

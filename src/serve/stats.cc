@@ -178,6 +178,7 @@ ServeStats::report() const
         MetricsRegistry::global().textSnapshot("serve.");
     metrics += MetricsRegistry::global().textSnapshot("faults.");
     metrics += MetricsRegistry::global().textSnapshot("emulator.");
+    metrics += MetricsRegistry::global().textSnapshot("runtime.");
     metrics += MetricsRegistry::global().textSnapshot("pool.");
     if (!metrics.empty()) {
         out += "metrics (process-wide):\n";

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "common/metrics.h"
 #include "compiler/lowering.h"
 #include "compiler/runtime.h"
 #include "fhe_test_util.h"
@@ -369,4 +372,149 @@ TEST(Compiler, AllocatedProgramsRespectRegisterBound)
                 EXPECT_LT(s, 32);
         }
     }
+}
+
+namespace {
+
+/** Outputs equal name for name, limb for limb. */
+void
+expectSameOutputs(const std::map<std::string, fhe::Ciphertext> &a,
+                  const std::map<std::string, fhe::Ciphertext> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (const auto &[name, ct] : a) {
+        auto it = b.find(name);
+        ASSERT_NE(it, b.end()) << name;
+        EXPECT_EQ(ct.level, it->second.level) << name;
+        EXPECT_TRUE(ct.c0 == it->second.c0 && ct.c1 == it->second.c1)
+            << name;
+    }
+}
+
+/** One program output: x rotated by one step, x at `level`. */
+CompiledProgram
+compileRotation(const std::string &input, std::size_t level)
+{
+    auto &h = harness();
+    Program p("rot", *h.ctx);
+    p.output("r", p.rotate(p.input(input, level), 1));
+    CompilerConfig cfg;
+    cfg.chips = 2;
+    Compiler compiler(*h.ctx, cfg);
+    return compiler.compile(p);
+}
+
+double
+counterValue(const std::string &name)
+{
+    return MetricsRegistry::global().counter(name).value();
+}
+
+} // namespace
+
+TEST(Runtime, ProgramsLoadingDifferentLimbsOfOneKeyEachGetTheirOwn)
+{
+    // A rotation at a low level loads fewer limbs of the very same
+    // Galois key than one at the top level. One runtime running the
+    // low program first must not serve its cached partial key to the
+    // high one.
+    auto &h = harness();
+    const auto low = compileRotation("lo", 1);
+    const auto high = compileRotation("hi", h.ctx->maxLevel());
+    ASSERT_EQ(low.preload.keys.size(), 1u);
+    ASSERT_EQ(high.preload.keys.size(), 1u);
+    ASSERT_EQ(low.preload.keys[0].identity,
+              high.preload.keys[0].identity);
+    ASSERT_NE(low.preload.keys[0].limbs, high.preload.keys[0].limbs);
+
+    auto v = h.randomSlots(1.0);
+    const auto lo = h.encryptSlots(v, 1);
+    const auto hi = h.encryptSlots(v, h.ctx->maxLevel());
+    auto fresh = [&](const CompiledProgram &prog) {
+        ProgramRuntime runtime(*h.ctx, *h.encoder, *h.keygen, h.sk);
+        runtime.bindInput("lo", lo);
+        runtime.bindInput("hi", hi);
+        return runtime.run(prog);
+    };
+    ProgramRuntime shared(*h.ctx, *h.encoder, *h.keygen, h.sk);
+    shared.bindInput("lo", lo);
+    shared.bindInput("hi", hi);
+    expectSameOutputs(shared.run(low), fresh(low));
+    expectSameOutputs(shared.run(high), fresh(high));
+    expectSameOutputs(shared.run(low), fresh(low));
+
+    // And the rotation is still the rotation.
+    auto back = h.decryptSlots(shared.run(high).at("r"));
+    std::vector<Cplx> want(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i)
+        want[i] = v[(i + 1) % v.size()];
+    EXPECT_LT(maxError(want, back), 1e-3);
+}
+
+TEST(Runtime, GeneratesOnlyLoadedKeyLimbsOnceAndCopiesRunAlike)
+{
+    auto &h = harness();
+    Program p("probe", *h.ctx);
+    auto x = p.input("x", 4);
+    p.output("w", p.add(p.rotate(x, 1), p.rotate(x, 2)));
+    p.output("sq", p.rescale(p.mul(x, x)));
+    CompilerConfig cfg;
+    cfg.chips = 4;
+    auto original =
+        std::make_unique<CompiledProgram>(Compiler(*h.ctx, cfg).compile(p));
+    const PreloadTable &table = original->preload;
+    ASSERT_EQ(table.keys.size(), 3u); // relin + two rotations
+    double loaded = 0.0, full = 0.0;
+    for (const auto &key : table.keys) {
+        for (const auto &primes : key.limbs)
+            loaded += 2.0 * static_cast<double>(primes.size());
+        full += 2.0 * static_cast<double>(key.limbs.size() *
+                                          h.ctx->keyBasis().size());
+    }
+    ASSERT_LT(loaded, full);
+
+    const auto ct = h.encryptSlots(h.randomSlots(1.0), 4);
+    ProgramRuntime runtime(*h.ctx, *h.encoder, *h.keygen, h.sk);
+    runtime.bindInput("x", ct);
+    const double keys0 = counterValue("runtime.keys.generated");
+    const double limbs0 = counterValue("runtime.key_limbs.generated");
+    const double full0 = counterValue("runtime.key_limbs.full");
+    const auto first = runtime.run(*original);
+    EXPECT_EQ(counterValue("runtime.keys.generated") - keys0, 3.0);
+    EXPECT_EQ(counterValue("runtime.key_limbs.generated") - limbs0,
+              loaded);
+    EXPECT_EQ(counterValue("runtime.key_limbs.full") - full0, full);
+    // A re-run reuses every key.
+    expectSameOutputs(runtime.run(*original), first);
+    EXPECT_EQ(counterValue("runtime.keys.generated") - keys0, 3.0);
+
+    // A copy outlives its original and runs alike, on a fresh runtime
+    // and on the one that ran the original.
+    const CompiledProgram copy = *original;
+    original.reset();
+    ProgramRuntime other(*h.ctx, *h.encoder, *h.keygen, h.sk);
+    other.bindInput("x", ct);
+    expectSameOutputs(other.run(copy), first);
+    expectSameOutputs(runtime.run(copy), first);
+}
+
+TEST(Runtime, RebindingAPlaintextReencodesIt)
+{
+    auto &h = harness();
+    Program p("t", *h.ctx);
+    p.output("o", p.rescale(p.mulPlain(p.input("x", 3), "w")));
+    CompilerConfig cfg;
+    cfg.chips = 2;
+    const auto compiled = Compiler(*h.ctx, cfg).compile(p);
+    const auto ct = h.encryptSlots(h.randomSlots(1.0), 3);
+    const auto w1 = h.randomSlots(1.0);
+    const auto w2 = h.randomSlots(1.0);
+
+    ProgramRuntime runtime(*h.ctx, *h.encoder, *h.keygen, h.sk);
+    runtime.bindInput("x", ct);
+    runtime.bindPlain("w", w1);
+    runtime.run(compiled);
+    runtime.bindPlain("w", w2);
+    expectSameOutputs(runtime.run(compiled),
+                      execute(p, cfg, {{"x", ct}}, {{"w", w2}}));
 }

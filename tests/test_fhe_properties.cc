@@ -3,11 +3,13 @@
  * Algebraic property tests on the CKKS layer: ring homomorphism laws
  * that must survive encryption (commutativity, distributivity,
  * rotation linearity, conjugation multiplicativity), encoder
- * linearity, and DSL construction error paths.
+ * linearity, DSL construction error paths, and partial evaluation
+ * keys (a key built for a limb subset is the full key restricted).
  */
 
 #include <gtest/gtest.h>
 
+#include "compiler/compiled.h"
 #include "compiler/dsl.h"
 #include "fhe_test_util.h"
 
@@ -177,4 +179,106 @@ TEST(DslErrors, InputAboveChainIsFatal)
     compiler::Program p("bad", *h.ctx);
     EXPECT_EXIT({ p.input("x", 99); }, ::testing::ExitedWithCode(1),
                 "exceeds the parameter chain");
+}
+
+namespace {
+
+/**
+ * A seeded scattered subset of the key basis per digit, listed in
+ * shuffled order; digit 1 (when present) is left empty.
+ */
+std::vector<rns::Basis>
+scatteredLimbs(const fhe::CkksContext &ctx, std::size_t digits,
+               uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<rns::Basis> limbs(digits);
+    for (std::size_t j = 0; j < digits; ++j) {
+        if (j == 1)
+            continue;
+        for (uint32_t p : ctx.keyBasis())
+            if (rng.uniformMod(2) == 1)
+                limbs[j].push_back(p);
+        for (std::size_t i = limbs[j].size(); i > 1; --i)
+            std::swap(limbs[j][i - 1], limbs[j][rng.uniformMod(i)]);
+    }
+    return limbs;
+}
+
+/** Each digit of `part` is `full`'s digit restricted to `limbs`. */
+void
+expectRestriction(const fhe::EvalKey &full, const fhe::EvalKey &part,
+                  const std::vector<rns::Basis> &limbs)
+{
+    ASSERT_EQ(part.parts.size(), full.parts.size());
+    for (std::size_t j = 0; j < limbs.size(); ++j) {
+        EXPECT_EQ(part.parts[j].first.basis(), limbs[j]);
+        EXPECT_TRUE(part.parts[j].first ==
+                    full.parts[j].first.restrictTo(limbs[j]))
+            << "b, digit " << j;
+        EXPECT_TRUE(part.parts[j].second ==
+                    full.parts[j].second.restrictTo(limbs[j]))
+            << "a, digit " << j;
+    }
+}
+
+} // namespace
+
+TEST(KeyLimbs, SubsetKeyEqualsTheFullKeyRestricted)
+{
+    auto &h = harness();
+    const fhe::CkksContext &ctx = *h.ctx;
+    const std::vector<std::vector<rns::Basis>> partitions = {
+        ctx.digits(ctx.maxLevel()),
+        compiler::chipDigitBases(ctx.maxLevel(), 2),
+        compiler::chipDigitBases(ctx.maxLevel(), 4),
+    };
+    const uint64_t rotation = ctx.galoisForRotation(3);
+    const uint64_t conjugation = ctx.galoisForConjugation();
+    uint64_t seed = 1;
+    for (const auto &digits : partitions) {
+        for (const uint64_t galois :
+             {fhe::KeyGenerator::kRelin, rotation, conjugation}) {
+            SCOPED_TRACE("digits " + std::to_string(digits.size()) +
+                         ", galois " + std::to_string(galois));
+            fhe::KeyGenerator whole(ctx, 4242 + seed);
+            fhe::KeyGenerator partial(ctx, 4242 + seed);
+            fhe::EvalKey full;
+            if (galois == fhe::KeyGenerator::kRelin)
+                full = whole.makeKeySwitchKeyForDigits(
+                    h.sk, h.sk.s.mul(h.sk.s), digits);
+            else
+                full = whole.galoisKeyForDigits(h.sk, galois, digits);
+            const auto limbs = scatteredLimbs(ctx, digits.size(), ++seed);
+            expectRestriction(
+                full, partial.keyLimbs(h.sk, galois, digits, limbs),
+                limbs);
+            // Both generators consumed the same draws.
+            EXPECT_EQ(whole.rng().uniformMod(1ull << 40),
+                      partial.rng().uniformMod(1ull << 40));
+        }
+    }
+}
+
+TEST(KeyLimbs, EveryLimbIsTheFullKey)
+{
+    auto &h = harness();
+    const fhe::CkksContext &ctx = *h.ctx;
+    const auto digits = ctx.digits(ctx.maxLevel());
+    const std::vector<rns::Basis> all(digits.size(), ctx.keyBasis());
+    const uint64_t galois = ctx.galoisForRotation(-2);
+
+    fhe::KeyGenerator a(ctx, 31), b(ctx, 31);
+    const auto relin = a.relinKey(h.sk);
+    const auto relin_limbs =
+        b.keyLimbs(h.sk, fhe::KeyGenerator::kRelin, digits, all);
+    const auto rot = a.galoisKey(h.sk, galois);
+    const auto rot_limbs = b.keyLimbs(h.sk, galois, digits, all);
+    ASSERT_EQ(relin_limbs.parts.size(), relin.parts.size());
+    for (std::size_t j = 0; j < digits.size(); ++j) {
+        EXPECT_TRUE(relin_limbs.parts[j].first == relin.parts[j].first);
+        EXPECT_TRUE(relin_limbs.parts[j].second == relin.parts[j].second);
+        EXPECT_TRUE(rot_limbs.parts[j].first == rot.parts[j].first);
+        EXPECT_TRUE(rot_limbs.parts[j].second == rot.parts[j].second);
+    }
 }

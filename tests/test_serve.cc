@@ -185,6 +185,25 @@ TEST(Scheduler, GroupsNeverOversubscribeChips)
         EXPECT_GT(busy, 0.0);
 }
 
+TEST(Scheduler, SerialLeasesRotateThroughEveryGroup)
+{
+    // The free list is FIFO: a fresh scheduler hands out group 0
+    // first, and a lessee that takes turns one lease at a time still
+    // visits every group instead of reusing the last one released.
+    ChipGroupScheduler sched(12, 4);
+    std::vector<std::size_t> order;
+    for (int i = 0; i < 6; ++i) {
+        GroupLease lease = i % 2 == 0 ? sched.acquire() : sched.tryAcquire();
+        order.push_back(lease.group());
+    }
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 0, 1, 2}));
+    {
+        BatchLease batch = sched.acquireUpTo(2);
+        EXPECT_EQ(batch.groups(), (std::vector<std::size_t>{0, 1}));
+    }
+    EXPECT_EQ(sched.acquire().group(), 2u);
+}
+
 TEST(Scheduler, TryAcquireRespectsCapacity)
 {
     ChipGroupScheduler sched(8, 4);
