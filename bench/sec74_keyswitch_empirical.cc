@@ -3,14 +3,13 @@
  * Reproduces the Section 7.4 empirical analysis: Cinnamon's batched
  * keyswitching vs CiFHER's with batching enabled, on the bootstrap
  * workload over Cinnamon-4 — inter-chip traffic reduction and the
- * resulting speedup — plus the algorithmic collective counts on the
- * functional limb machine.
+ * resulting speedup — plus the analytic collective counts of the two
+ * batched patterns (Figure 8).
  */
 
 #include <cstdio>
 
 #include "bench_util.h"
-#include "parallel/keyswitch.h"
 #include "sim/simulator.h"
 #include "workloads/kernels.h"
 
@@ -53,9 +52,13 @@ main()
                 cif.seconds / cinn.seconds);
     std::printf("(paper: 2.25x less traffic, 1.94x speedup)\n");
 
-    // Algorithmic collective counts on the functional limb machine.
-    bench::printHeader("Collective counts for r rotations (limb "
-                       "machine, level 51, 4 chips)");
+    // Analytic counts of whole-polynomial collectives per batched
+    // pattern. The CiFHER row assumes a hoisted input broadcast
+    // (1 + 2r); compiled CiFHER + Pass forms no batch and pays 3r.
+    // tests/test_keyswitch_strategies.cc checks the compiled limb
+    // counts.
+    bench::printHeader("Collective counts for r rotations (analytic, "
+                       "level 51, 4 chips)");
     std::printf("%-36s %12s %12s\n", "pattern", "broadcasts",
                 "aggregations");
     const int r = 8;

@@ -3,8 +3,8 @@
  * The CKKS evaluator: encryption, decryption, and all homomorphic
  * operations, including sequential hybrid keyswitching (Figure 4 of
  * the paper). This is the functional reference implementation that
- * the parallel keyswitching engines (src/parallel) and the ISA
- * emulator (src/isa) are validated against.
+ * compiled programs, run on the ISA emulator (src/isa), are validated
+ * against under every keyswitch strategy.
  */
 
 #ifndef CINNAMON_FHE_EVALUATOR_H_

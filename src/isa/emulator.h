@@ -6,8 +6,8 @@
  *
  * The emulator executes a MachineProgram on real limb data at any
  * ring dimension, so compiled instruction streams can be validated
- * bit-exactly against the fhe/ and parallel/ reference
- * implementations. It has no timing model; src/sim provides that.
+ * bit-exactly against the fhe/ reference implementation. It has no
+ * timing model; src/sim provides that.
  *
  * Data plane: each chip's HBM is a flat limb arena (one contiguous
  * buffer, address → slot table) and its register file is a flat

@@ -1,7 +1,6 @@
 /**
  * @file
  * Parameterized property sweeps across configuration axes:
- *  - parallel keyswitching over machine sizes (2..6 chips);
  *  - compiled rotations over step values and chip counts;
  *  - compiled multiply over levels;
  *  - keyswitch pass invariants over batch sizes.
@@ -15,7 +14,6 @@
 #include "compiler/lowering.h"
 #include "compiler/runtime.h"
 #include "fhe_test_util.h"
-#include "parallel/keyswitch.h"
 
 using namespace cinnamon;
 using testutil::CkksHarness;
@@ -32,85 +30,6 @@ harness()
 }
 
 } // namespace
-
-// ---- parallel keyswitch across machine sizes -----------------------
-
-class ChipsSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ChipsSweep, InputBroadcastBitExactAtAnyChipCount)
-{
-    auto &h = harness();
-    const std::size_t chips = GetParam();
-    parallel::LimbMachine machine(*h.ctx, chips);
-    parallel::ParallelKeySwitcher ks(*h.ctx, machine);
-
-    const std::size_t level = h.ctx->maxLevel();
-    auto v = h.randomSlots(1.0);
-    auto ct = h.encryptSlots(v, level);
-    auto [s0, s1] = h.eval->keySwitch(ct.c1, level, h.relin);
-
-    auto out = ks.inputBroadcast(machine.scatter(ct.c1), level, h.relin);
-    auto [p0, p1] = ks.gather(out, level);
-    EXPECT_EQ(p0, s0);
-    EXPECT_EQ(p1, s1);
-}
-
-TEST_P(ChipsSweep, CifherBitExactAtAnyChipCount)
-{
-    auto &h = harness();
-    const std::size_t chips = GetParam();
-    parallel::LimbMachine machine(*h.ctx, chips);
-    parallel::ParallelKeySwitcher ks(*h.ctx, machine);
-
-    const std::size_t level = h.ctx->maxLevel();
-    auto v = h.randomSlots(1.0);
-    auto ct = h.encryptSlots(v, level);
-    auto [s0, s1] = h.eval->keySwitch(ct.c1, level, h.relin);
-
-    auto out = ks.cifher(machine.scatter(ct.c1), level, h.relin);
-    auto [p0, p1] = ks.gather(out, level);
-    EXPECT_EQ(p0, s0);
-    EXPECT_EQ(p1, s1);
-}
-
-TEST_P(ChipsSweep, OutputAggregationDecryptsAtAnyChipCount)
-{
-    auto &h = harness();
-    const std::size_t chips = GetParam();
-    // Digit size must fit under the extension modulus.
-    const std::size_t level = h.ctx->maxLevel();
-    const std::size_t digit_size = (level + chips) / chips;
-    if (digit_size > h.ctx->specialBasis().size())
-        GTEST_SKIP() << "digit too large for P at " << chips
-                     << " chips";
-
-    parallel::LimbMachine machine(*h.ctx, chips);
-    parallel::ParallelKeySwitcher ks(*h.ctx, machine);
-    auto digits = ks.chipDigits(level);
-    auto s2 = h.sk.s.mul(h.sk.s);
-    auto evk = h.keygen->makeKeySwitchKeyForDigits(h.sk, s2, digits);
-
-    auto va = h.randomSlots(1.0);
-    auto ca = h.encryptSlots(va, level);
-    auto d0 = ca.c0.mul(ca.c0);
-    auto d1 = ca.c0.mul(ca.c1);
-    d1.addInPlace(ca.c1.mul(ca.c0));
-    auto d2 = ca.c1.mul(ca.c1);
-
-    auto out = ks.outputAggregation(machine.scatter(d2), level, evk);
-    auto [k0, k1] = ks.gather(out, level);
-    d0.addInPlace(k0);
-    d1.addInPlace(k1);
-    fhe::Ciphertext prod{d0, d1, level, ca.scale * ca.scale};
-    auto back = h.decryptSlots(h.eval->rescale(prod));
-    double err = 0;
-    for (std::size_t i = 0; i < h.ctx->slots(); i += 31)
-        err = std::max(err, std::abs(back[i] - va[i] * va[i]));
-    EXPECT_LT(err, 1e-3);
-}
-
-INSTANTIATE_TEST_SUITE_P(Machines, ChipsSweep,
-                         ::testing::Values(2, 3, 4, 6));
 
 // ---- compiled rotation sweep ---------------------------------------
 
