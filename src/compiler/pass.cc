@@ -6,6 +6,18 @@
 
 namespace cinnamon::compiler {
 
+namespace {
+
+double
+msSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+} // namespace
+
 void
 PassManager::run(PassContext &pcx, const DumpHandler &dump) const
 {
@@ -22,12 +34,15 @@ PassManager::run(PassContext &pcx, const DumpHandler &dump) const
 
         const auto start = std::chrono::steady_clock::now();
         pass.run(pcx);
-        if (pcx.cfg.verify_ir && pass.verify)
+        if (pcx.cfg.verify_ir && pass.verify) {
+            ScopedSpan vspan(pcx.trace, "compiler.verify." + pass.name,
+                             "compiler", 0, 0);
+            const auto vstart = std::chrono::steady_clock::now();
             pass.verify(pcx);
-        const double ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
+            metrics.histogram("compiler.verify." + pass.name + ".ms")
+                .observe(msSince(vstart));
+        }
+        const double ms = msSince(start);
 
         metrics.histogram("compiler.pass." + pass.name + ".ms")
             .observe(ms);

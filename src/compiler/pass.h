@@ -21,7 +21,10 @@
  *              ops_in) so per-pass expansion ratios are observable.
  *
  * Every pass additionally books a compiler.pass.<name>.ms histogram
- * and, when a TraceRecorder is attached, a "compiler.<name>" span.
+ * (run + verify) and, when a TraceRecorder is attached, a
+ * "compiler.<name>" span. A pass whose verifier runs also books the
+ * verifier's share alone: compiler.verify.<name>.ms and a
+ * "compiler.verify.<name>" span.
  */
 
 #ifndef CINNAMON_COMPILER_PASS_H_
