@@ -1,6 +1,9 @@
 #include "serve/executor.h"
 
+#include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "common/logging.h"
@@ -28,6 +31,73 @@ RequestExecutor::decide(uint64_t seed, std::size_t attempt) const
                        : faults::FaultDecision{};
 }
 
+std::vector<RequestExecutor::Outcome>
+RequestExecutor::run(Workload workload,
+                     const std::vector<uint64_t> &seeds,
+                     const std::vector<faults::FaultDecision> &fates,
+                     const SpanFn &span)
+{
+    const auto open = [&](const char *name, bool on = true) {
+        if (span && on)
+            return span(name);
+        return ScopedSpan(nullptr, "", "", 0, 0);
+    };
+    std::vector<Outcome> out(seeds.size());
+    try {
+        // One plan for the whole batch: compatible members share a
+        // workload, so every member gets the same choice.
+        const auto plan = planFor(workload);
+        {
+            auto s = open("simulate");
+            simulate(workload, plan, fates, out);
+        }
+        {
+            auto s = open("probe", emulates());
+            probe(plan, seeds, fates, out);
+        }
+        // Model device occupancy once for the whole batch: every
+        // member's group runs concurrently, so the host dwells for
+        // the slowest member only.
+        if (config_.time_dilation > 0.0) {
+            auto s = open("dwell");
+            double dwell_s = 0.0;
+            for (const auto &o : out)
+                dwell_s = std::max(dwell_s, o.sim_seconds);
+            dwell_s *= config_.time_dilation;
+            const std::chrono::duration<double> dwell(dwell_s);
+            std::this_thread::sleep_for(dwell);
+        }
+        for (std::size_t i = 0; i < out.size(); ++i) {
+            if (!fates[i].transient)
+                continue;
+            out[i].kind = Outcome::Lost;
+            out[i].digest = 0;
+            out[i].error = "injected transient execution fault";
+            out[i].retryable = true;
+        }
+    } catch (const std::exception &e) {
+        // Injected chip death unwinding out of the emulator (or the
+        // sim-side abort), or a program error. An injected fault in
+        // any member is a transient infrastructure condition, hence
+        // retryable; anything else is permanent. Every member shares
+        // the abort.
+        bool any_fault = false;
+        bool any_chip = false;
+        for (const auto &fate : fates) {
+            any_fault = any_fault || fate.any();
+            any_chip = any_chip || fate.chip_fails;
+        }
+        for (auto &o : out) {
+            o.kind = Outcome::Aborted;
+            o.digest = 0;
+            o.error = e.what();
+            o.retryable = any_fault;
+            o.chip_failed = any_chip;
+        }
+    }
+    return out;
+}
+
 RequestExecutor::PlanChoice
 RequestExecutor::planFor(Workload workload)
 {
@@ -50,22 +120,22 @@ RequestExecutor::planFor(Workload workload)
     return choice;
 }
 
-std::vector<workloads::BenchTiming>
+void
 RequestExecutor::simulate(
     Workload workload, const PlanChoice &plan,
-    const std::vector<faults::FaultDecision> &fates)
+    const std::vector<faults::FaultDecision> &fates,
+    std::vector<Outcome> &out)
 {
     const auto &bench = catalog_.benchmark(workload);
-    std::vector<workloads::BenchTiming> timings;
-    timings.reserve(fates.size());
-    for (const auto &fate : fates) {
+    for (std::size_t i = 0; i < out.size(); ++i) {
         sim::HardwareConfig hw = config_.hw;
-        if (fate.link_dilation > 1.0)
-            hw.link_dilation = fate.link_dilation;
-        timings.push_back(runner_.run(bench, config_.group_size, hw,
-                                      plan.sim_group, plan.ks));
+        if (fates[i].link_dilation > 1.0)
+            hw.link_dilation = fates[i].link_dilation;
+        const auto timing = runner_.run(bench, config_.group_size, hw,
+                                        plan.sim_group, plan.ks);
+        out[i].sim_seconds = timing.seconds;
+        out[i].compile_ms = timing.compile_ms;
     }
-    return timings;
 }
 
 bool
@@ -74,10 +144,11 @@ RequestExecutor::emulates() const
     return config_.emulate && ctx_->n() <= config_.emulate_max_n;
 }
 
-RequestExecutor::ProbeResult
-RequestExecutor::execute(
+void
+RequestExecutor::probe(
     const PlanChoice &plan, const std::vector<uint64_t> &seeds,
-    const std::vector<faults::FaultDecision> &fates)
+    const std::vector<faults::FaultDecision> &fates,
+    std::vector<Outcome> &out)
 {
     const std::size_t k = seeds.size();
     CINN_ASSERT(k >= 1 && fates.size() == k,
@@ -101,8 +172,6 @@ RequestExecutor::execute(
     const faults::FaultDecision *chip_fault =
         fault_member < k ? &fates[fault_member] : nullptr;
 
-    ProbeResult out;
-    out.digests.assign(k, 0);
     if (!emulates()) {
         // No emulated run to kill: the chip fault surfaces as a
         // sim-side abort naming the same victim the emulator would.
@@ -115,7 +184,7 @@ RequestExecutor::execute(
                                      " lost mid-run (sim abort)";
             throw faults::ChipFailedError(victim, what);
         }
-        return out;
+        return;
     }
 
     compiler::CompilerConfig cfg;
@@ -123,16 +192,18 @@ RequestExecutor::execute(
     cfg.num_streams = static_cast<int>(k);
     cfg.phys_regs = config_.hw.phys_regs;
     cfg.strategy = plan.strategy;
+    double compile_ms = 0.0;
     const auto &program =
-        plans_.get(catalog_.batchedProbe(k), cfg, &out.compile_ms);
+        plans_.get(catalog_.batchedProbe(k), cfg, &compile_ms);
     // workers=0: take the shared pool's full parallelism — idle
     // capacity slices limb planes, results unchanged.
     const auto reports = exec::EmulateBackend::executeSeededBatch(
         *ctx_, encoder_, catalog_.probe(), program, seeds, 0,
         chip_fault, fault_member, &emu_cache_);
-    for (std::size_t i = 0; i < k; ++i)
-        out.digests[i] = reports[i].digest;
-    return out;
+    for (std::size_t i = 0; i < k; ++i) {
+        out[i].digest = reports[i].digest;
+        out[i].compile_ms += compile_ms;
+    }
 }
 
 } // namespace cinnamon::serve

@@ -15,11 +15,13 @@
  * faces cannot drift apart, and a member's digest is a pure function
  * of (seed, catalog, parameters) whichever face served it.
  *
- * What stays with the callers: leasing, quarantine, deadlines,
- * retries, and spans (Server), the wire mapping (worker), the device
- * dwell, and transient faults. A transient fault is applied after
+ * run() is the whole attempt: plan → sim timing → probe → device
+ * dwell → each member's outcome. A transient fault is applied after
  * the run and its dwell — the device did the work; only the member's
- * result is lost.
+ * result is lost. Any throw aborts the whole batch. What stays with
+ * the callers: leasing, quarantine and spans (Server), the wire
+ * mapping and connection drops (worker), and settling the outcomes
+ * (serve/settlement.h).
  */
 
 #ifndef CINNAMON_SERVE_EXECUTOR_H_
@@ -27,10 +29,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/trace.h"
 #include "faults/fault_plan.h"
 #include "fhe/encoder.h"
 #include "isa/emulator.h"
@@ -53,6 +57,8 @@ class RequestExecutor
         /** Emulate the probe (only up to ring dimension below). */
         bool emulate = true;
         std::size_t emulate_max_n = 1 << 14;
+        /** Wall seconds of device dwell per simulated second. */
+        double time_dilation = 0.0;
         /** Per-chip model; hw.n is set from the context. */
         sim::HardwareConfig hw;
         faults::FaultConfig faults;
@@ -62,26 +68,31 @@ class RequestExecutor
         std::string strategy;
     };
 
-    /**
-     * The plan a workload runs under: the forced strategy, the
-     * autotuned winner, or the default config. `strategy` feeds the
-     * probe's CompilerConfig; `ks` and `sim_group` the sim timing.
-     */
-    struct PlanChoice
+    /** How one member's attempt ended. */
+    struct Outcome
     {
-        std::string strategy;
-        compiler::KsPassOptions ks;
-        std::size_t sim_group = 0;
+        enum Kind {
+            Completed, ///< the member's result came back
+            Lost,      ///< a transient fault lost it after the run
+            Aborted,   ///< the whole batch aborted
+        };
+        Kind kind = Completed;
+        double sim_seconds = 0.0;
+        /** Host ms compiling for this member (0 = all hits). */
+        double compile_ms = 0.0;
+        uint64_t digest = 0; ///< 0 unless Completed and emulated
+        std::string error;   ///< why no result came back
+        /** An injected fault explains the loss: retry it. */
+        bool retryable = false;
+        /** A chip of the batch died: quarantine and requeue. */
+        bool chip_failed = false;
     };
 
-    /** What the batch's probe produced. */
-    struct ProbeResult
-    {
-        /** Per-member output digests (0 when emulation is off). */
-        std::vector<uint64_t> digests;
-        /** Wall-clock ms compiling the batched probe (0 on a hit). */
-        double compile_ms = 0.0;
-    };
+    /**
+     * Opens the span of one phase of an attempt ("simulate",
+     * "probe", "dwell"); empty = no spans.
+     */
+    using SpanFn = std::function<ScopedSpan(const char *name)>;
 
     RequestExecutor(const fhe::CkksContext &ctx, Config config);
 
@@ -98,6 +109,42 @@ class RequestExecutor
                                  std::size_t attempt) const;
 
     /**
+     * Run one attempt of a batch of `workload` requests: member i is
+     * stream i of replicateStreams(probe, k) on chips [i·g, (i+1)·g),
+     * with keys and inputs drawn from seeds[i] and faults from
+     * fates[i]. Every member gets its simulated timing and digest,
+     * then the device dwells for the slowest member's sim_seconds ×
+     * time_dilation. A transient member's result is lost afterwards.
+     * A throw — the first chip-fault member's victim dying
+     * mid-program, or a program error — aborts every member under
+     * one rule: retryable when any member drew a fault, chip_failed
+     * when any member's chip died. Books
+     * faults.injected.{chip,transient,link} for every member.
+     */
+    std::vector<Outcome>
+    run(Workload workload, const std::vector<uint64_t> &seeds,
+        const std::vector<faults::FaultDecision> &fates,
+        const SpanFn &span = nullptr);
+
+    const PlanCache &planCache() const { return plans_; }
+    /** BenchmarkRunner compile + sim cache counters. */
+    CacheStats runnerStats() const { return runner_.cacheStats(); }
+    CacheStats tunerStats() const { return tuner_.stats(); }
+
+  private:
+    /**
+     * The plan a workload runs under: the forced strategy, the
+     * autotuned winner, or the default config. `strategy` feeds the
+     * probe's CompilerConfig; `ks` and `sim_group` the sim timing.
+     */
+    struct PlanChoice
+    {
+        std::string strategy;
+        compiler::KsPassOptions ks;
+        std::size_t sim_group = 0;
+    };
+
+    /**
      * The workload's plan, decided on the undilated hardware model:
      * an injected link degradation can never change what gets
      * compiled — and thereby a retried request's digest.
@@ -109,32 +156,24 @@ class RequestExecutor
      * member of a kind compiles, the rest hit the runner's cache). A
      * member with a degraded link times under the dilated config.
      */
-    std::vector<workloads::BenchTiming>
-    simulate(Workload workload, const PlanChoice &plan,
-             const std::vector<faults::FaultDecision> &fates);
+    void simulate(Workload workload, const PlanChoice &plan,
+                  const std::vector<faults::FaultDecision> &fates,
+                  std::vector<Outcome> &out);
 
-    /** True when execute() emulates the probe. */
+    /** True when probe() emulates. */
     bool emulates() const;
 
     /**
-     * Run one attempt of the batch: member i is stream i of
-     * replicateStreams(probe, k) on chips [i·g, (i+1)·g), with keys
-     * and inputs drawn from seeds[i]. The first chip-fault member's
-     * victim dies mid-program and the whole attempt throws
-     * (isa::EmulatorError); with emulation off, the same fault
-     * throws faults::ChipFailedError instead. Books
-     * faults.injected.{chip,transient,link} for every member.
+     * Emulate the batched probe into the members' digests. A
+     * chip-fault member's victim dies mid-program and the call
+     * throws (isa::EmulatorError); with emulation off, the same
+     * fault throws faults::ChipFailedError.
      */
-    ProbeResult execute(
-        const PlanChoice &plan, const std::vector<uint64_t> &seeds,
-        const std::vector<faults::FaultDecision> &fates);
+    void probe(const PlanChoice &plan,
+               const std::vector<uint64_t> &seeds,
+               const std::vector<faults::FaultDecision> &fates,
+               std::vector<Outcome> &out);
 
-    const PlanCache &planCache() const { return plans_; }
-    /** BenchmarkRunner compile + sim cache counters. */
-    CacheStats runnerStats() const { return runner_.cacheStats(); }
-    CacheStats tunerStats() const { return tuner_.stats(); }
-
-  private:
     const fhe::CkksContext *ctx_;
     Config config_;
     WorkloadCatalog catalog_;

@@ -17,29 +17,14 @@ RequestQueue::submit(Request request)
         return false;
     }
     request.admitted = Clock::now();
-    // The queue is the authority for the deadline anchor: if the
-    // caller did not stamp `born` (direct queue users — the remote
-    // front-end, tests), first admission is it. An unset anchor
-    // would otherwise make every deadline check nonsense.
+    // An unset deadline anchor (direct queue users such as tests)
+    // defaults to first admission; it would otherwise make every
+    // deadline check nonsense.
     if (request.born == Clock::time_point{})
         request.born = request.admitted;
     items_.push_back(std::move(request));
     ready_.notify_one();
     return true;
-}
-
-std::optional<Request>
-RequestQueue::popFor(double timeout_ms)
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    ready_.wait_for(
-        lock, std::chrono::duration<double, std::milli>(timeout_ms),
-        [&] { return closed_ || !items_.empty(); });
-    if (items_.empty())
-        return std::nullopt;
-    Request r = std::move(items_.front());
-    items_.pop_front();
-    return r;
 }
 
 std::vector<Request>
@@ -108,20 +93,6 @@ RequestQueue::requeue(Request request)
         ++rejected_closed_;
         return false;
     }
-    const auto now = Clock::now();
-    // `born` is NEVER restamped here: the deadline budget spans every
-    // attempt, measured from first admission. Restamping it would
-    // silently extend a requeued request's deadline — each retry
-    // would reset the clock and a request could outlive its budget
-    // indefinitely. A requeue path that somehow reaches us without an
-    // anchor (unit tests driving the queue directly) inherits the
-    // original admission stamp rather than the requeue time for the
-    // same reason.
-    if (request.born == Clock::time_point{})
-        request.born = request.admitted != Clock::time_point{}
-                           ? request.admitted
-                           : now;
-    request.admitted = now; // per-attempt queue wait restarts
     items_.push_back(std::move(request));
     ready_.notify_one();
     return true;

@@ -5,10 +5,9 @@
  * Admission control is the backpressure point of the system: when the
  * queue is full, submit() fails immediately instead of blocking the
  * client or growing without bound — exactly the behaviour a front-end
- * load balancer needs to shed load onto another replica. Workers pop
- * FIFO; a request whose deadline elapsed while it waited is handed
- * back as expired rather than executed (its latency budget is already
- * spent, so running it would only delay the requests behind it).
+ * load balancer needs to shed load onto another replica. Consumers
+ * pop FIFO batches through popBatch(); deadline shedding and retries
+ * are settlement policy (serve/settlement.h), not the queue's.
  */
 
 #ifndef CINNAMON_SERVE_QUEUE_H_
@@ -19,7 +18,6 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "serve/request.h"
@@ -33,21 +31,12 @@ class RequestQueue
     explicit RequestQueue(std::size_t capacity) : capacity_(capacity) {}
 
     /**
-     * Admit a request. Stamps `admitted` on success.
+     * Admit a request. Stamps `admitted` on success, and `born` too
+     * when the caller left it unset.
      *
      * @return false when the queue is full (backpressure) or closed.
      */
     bool submit(Request request);
-
-    /**
-     * Pop the oldest request, waiting at most `timeout_ms` while the
-     * queue is empty. Returns nullopt on timeout even while the queue
-     * is open — the remote front-end's dispatcher uses this to
-     * interleave queue draining with liveness checks (a
-     * closed-and-empty queue may still grow again via requeue() when
-     * a worker connection dies mid-request).
-     */
-    std::optional<Request> popFor(double timeout_ms);
 
     /** Two requests that may share one batched program. */
     using CompatFn =
@@ -74,15 +63,16 @@ class RequestQueue
                                   double *lingered_ms = nullptr);
 
     /**
-     * Re-admit a faulted request for another attempt. Bypasses both
-     * the capacity check (the request already holds an admission slot;
-     * bouncing it here would turn a transient fault into a loss) and
-     * the closed check (drainAndStop() closes the queue before workers
-     * finish, and an in-flight retry must still drain). Safe against
-     * worker shutdown: the requeuing worker itself returns to
-     * popBatch() and the queue only reports drained when empty, so a requeued
-     * request is always picked up. Restamps `admitted` — per-attempt
-     * queue wait — while `born` keeps the cross-attempt budget.
+     * Put an admitted request back: a retry's next attempt, or a
+     * request handed back without one. Inserts the request as it is,
+     * stamps included; the caller decides whether a new attempt
+     * starts (serve/settlement.h stamps `admitted` for retries).
+     * Bypasses both the capacity check (the request already holds an
+     * admission slot; bouncing it here would turn a transient fault
+     * into a loss) and the closed check (the drain closes the queue
+     * before the consumers finish, and an in-flight retry must still
+     * drain): the consumer that requeues returns to popBatch(), which
+     * reports drained only when the queue is empty.
      *
      * @return false once the queue is sealed: nothing will drain it
      *         anymore, so accepting the request would strand it and

@@ -8,17 +8,6 @@
 
 namespace cinnamon::serve::remote {
 
-namespace {
-
-double
-msSince(Clock::time_point t)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() - t)
-        .count();
-}
-
-} // namespace
-
 bool
 RemoteFrontEnd::Conn::send(net::MsgType type,
                            const std::vector<uint8_t> &payload)
@@ -29,14 +18,14 @@ RemoteFrontEnd::Conn::send(net::MsgType type,
 }
 
 RemoteFrontEnd::RemoteFrontEnd(FrontEndOptions options)
-    : options_(options)
+    : options_(options),
+      settlement_(options.queue_capacity, options.retry)
 {
     CINN_FATAL_UNLESS(options_.workers >= 1,
                       "the distributed tier needs at least one worker");
     options_.batch_max_streams =
         std::max<std::size_t>(1, options_.batch_max_streams);
-    queue_ = std::make_unique<RequestQueue>(options_.queue_capacity);
-    batcher_ = std::make_unique<BatchFormer>(*queue_,
+    batcher_ = std::make_unique<BatchFormer>(settlement_.queue(),
                                              options_.batch_linger_ms);
     // Each worker process owns one chip group: the scheduler that
     // expressed intra-process placement now expresses inter-process
@@ -48,12 +37,7 @@ RemoteFrontEnd::RemoteFrontEnd(FrontEndOptions options)
 
 RemoteFrontEnd::~RemoteFrontEnd()
 {
-    bool started;
-    {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        started = started_;
-    }
-    if (started)
+    if (settlement_.running())
         drainAndStop();
 }
 
@@ -63,12 +47,7 @@ RemoteFrontEnd::start()
     listener_ = net::Socket::listenLoopback(options_.port, &port_);
     if (!listener_.valid())
         return false;
-    {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        CINN_ASSERT(!started_, "front-end already started");
-        started_ = true;
-        start_time_ = Clock::now();
-    }
+    settlement_.startClock();
     loop_.add(listener_.fd(), POLLIN,
               [this](int, short) { onAccept(); });
     io_thread_ = std::thread(
@@ -108,38 +87,7 @@ bool
 RemoteFrontEnd::submit(Workload workload, uint64_t seed,
                        std::chrono::milliseconds deadline)
 {
-    Request r;
-    r.workload = workload;
-    r.seed = seed;
-    r.deadline = deadline;
-    {
-        std::lock_guard<std::mutex> lock(responses_mutex_);
-        r.id = next_id_++;
-        ++submitted_;
-    }
-    auto &metrics = MetricsRegistry::global();
-    metrics.counter("serve.requests.submitted").add();
-    const uint64_t id = r.id;
-    // The queue stamps `born` (the deadline anchor) at admission.
-    const bool admitted = queue_->submit(std::move(r));
-    std::lock_guard<std::mutex> lock(responses_mutex_);
-    if (admitted) {
-        ++admitted_;
-        return true;
-    }
-    metrics.counter("serve.requests.rejected").add();
-    Response resp;
-    resp.id = id;
-    resp.workload = workload;
-    resp.status = RequestStatus::Rejected;
-    resp.retryable = !queue_->closed();
-    resp.error = resp.retryable
-                     ? "queue full (backpressure): retry later"
-                     : "front-end draining: submit elsewhere";
-    if (resp.retryable)
-        metrics.counter("serve.requests.rejected_retryable").add();
-    responses_.push_back(std::move(resp));
-    return false;
+    return settlement_.submit(workload, seed, deadline);
 }
 
 void
@@ -165,13 +113,15 @@ void
 RemoteFrontEnd::dispatch(std::vector<Request> batch)
 {
     auto &metrics = MetricsRegistry::global();
-    constexpr std::size_t kNoGroup = static_cast<std::size_t>(-1);
+    std::vector<Attempt> members = settlement_.begin(std::move(batch));
+    if (members.empty())
+        return;
 
     // Startup grace: while no worker has connected yet and admission
-    // is still open, park the batch back in the queue instead of
-    // burning its retry budget against empty group slots. Once the
-    // drain begins (queue closed) attempts do burn, so a drain with
-    // zero workers still terminates.
+    // is still open, hand the batch back instead of burning its retry
+    // budget against empty group slots. Once the drain begins (queue
+    // closed) attempts do burn, so a drain with zero workers still
+    // terminates.
     bool any_ready;
     {
         std::lock_guard<std::mutex> lock(net_mutex_);
@@ -181,55 +131,16 @@ RemoteFrontEnd::dispatch(std::vector<Request> batch)
                 return c && c->ready;
             });
     }
-    if (!any_ready && !queue_->closed()) {
-        for (auto &request : batch) {
-            const uint64_t id = request.id;
-            const Workload workload = request.workload;
-            if (!queue_->requeue(std::move(request))) {
-                // Sealed mid-flight: finalize loudly, never drop.
-                Response resp;
-                resp.id = id;
-                resp.workload = workload;
-                resp.status = RequestStatus::Failed;
-                resp.error = "retry refused: queue sealed";
-                metrics.counter("serve.requests.failed").add();
-                metrics.counter("serve.requeue_refused").add();
-                finalize(std::move(resp));
-            }
-        }
+    if (!any_ready && !settlement_.queue().closed()) {
+        for (auto &m : members)
+            settlement_.handBack(std::move(m));
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(
                 options_.tick_ms));
         return;
     }
-
-    // Shed members whose budget was spent waiting — same policy,
-    // and the same `born` anchor, as the in-process server. The rest
-    // stay batched.
-    std::vector<Request> live;
-    std::vector<double> live_queue_ms;
-    live.reserve(batch.size());
-    for (auto &request : batch) {
-        const double queue_ms = msSince(request.admitted);
-        if (request.deadline.count() > 0 &&
-            msSince(request.born) >
-                static_cast<double>(request.deadline.count())) {
-            Response resp;
-            resp.id = request.id;
-            resp.workload = request.workload;
-            resp.attempt = request.attempt;
-            resp.status = RequestStatus::Expired;
-            resp.queue_ms = queue_ms;
-            resp.total_ms = queue_ms;
-            metrics.counter("serve.requests.expired").add();
-            finalize(std::move(resp));
-            continue;
-        }
-        live.push_back(std::move(request));
-        live_queue_ms.push_back(queue_ms);
-    }
-    if (live.empty())
-        return;
+    for (auto &m : members)
+        m.response.batch_streams = members.size();
 
     // Placement: one group for the whole batch — the worker behind it
     // executes the members as one multi-stream program. Prefer the
@@ -239,77 +150,28 @@ RemoteFrontEnd::dispatch(std::vector<Request> batch)
     try {
         if (options_.seed_routing)
             lease = scheduler_->tryAcquireGroup(
-                live.front().seed % scheduler_->numGroups());
+                members.front().request.seed % scheduler_->numGroups());
         if (!lease.held())
             lease = scheduler_->acquire();
     } catch (const NoHealthyGroupsError &e) {
-        // Every group is quarantined. Mirror the in-process policy:
-        // wait out one repair window, then burn an attempt per member.
+        // Every group is quarantined: on this dispatcher thread, wait
+        // out one repair window, then burn an attempt per member.
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(
                 options_.repair_ms + options_.tick_ms));
-        for (std::size_t i = 0; i < live.size(); ++i) {
-            InFlight in_flight;
-            in_flight.request = std::move(live[i]);
-            in_flight.dispatched = Clock::now();
-            in_flight.queue_ms = live_queue_ms[i];
-            in_flight.batch_streams = live.size();
-            retryOrFail(std::move(in_flight), kNoGroup, e.what(),
-                        /*chip_failed=*/true);
-        }
+        for (auto &m : members)
+            requeueOrSettle(std::move(m), e.what(), /*retryable=*/true,
+                            /*chip_failed=*/true);
         return;
     }
-
-    std::shared_ptr<Conn> conn;
     const std::size_t group = lease.group();
-    {
-        std::lock_guard<std::mutex> lock(net_mutex_);
-        if (group_conns_[group] && group_conns_[group]->ready &&
-            inflight_.count(group) == 0) {
-            conn = group_conns_[group];
-            GroupWork work;
-            work.lease = std::move(lease);
-            const auto now = Clock::now();
-            for (std::size_t i = 0; i < live.size(); ++i) {
-                InFlight in_flight;
-                in_flight.request = live[i];
-                in_flight.dispatched = now;
-                in_flight.queue_ms = live_queue_ms[i];
-                in_flight.batch_streams = live.size();
-                work.members.emplace(live[i].id, std::move(in_flight));
-            }
-            // Register before sending: if the worker dies the instant
-            // the Submit lands, the EOF handler must already see every
-            // member in flight to requeue it.
-            inflight_.emplace(group, std::move(work));
-        }
-    }
-    if (!conn) {
-        // The leased group has no live worker (its connection died
-        // between quarantine bookkeeping and this dispatch, or no
-        // worker ever claimed the slot). Treat it like a lost attempt
-        // for every member.
-        if (lease.held())
-            scheduler_->markChipFailed(
-                scheduler_->chipsOf(lease.group()).first);
-        for (std::size_t i = 0; i < live.size(); ++i) {
-            InFlight in_flight;
-            in_flight.request = std::move(live[i]);
-            in_flight.dispatched = Clock::now();
-            in_flight.queue_ms = live_queue_ms[i];
-            in_flight.batch_streams = live.size();
-            retryOrFail(std::move(in_flight), group,
-                        "no live worker for group",
-                        /*chip_failed=*/true);
-        }
-        lease.release(); // after markChipFailed: parks, not frees
-        return;
-    }
+    for (auto &m : members)
+        m.response.group = group;
 
     // One Submit carries the whole batch: the lead request in the
     // flat fields, co-members in `extras` (wire v2). The worker
     // answers one Result per member.
-    const Request &lead = live.front();
+    const Request &lead = members.front().request;
     net::SubmitMsg submit;
     submit.request_id = lead.id;
     submit.workload = static_cast<uint16_t>(lead.workload);
@@ -321,15 +183,46 @@ RemoteFrontEnd::dispatch(std::vector<Request> batch)
                   0.0, static_cast<double>(lead.deadline.count()) -
                            msSince(lead.born)))
             : 0;
-    for (std::size_t i = 1; i < live.size(); ++i) {
+    for (std::size_t i = 1; i < members.size(); ++i) {
         net::SubmitMsg::Member member;
-        member.request_id = live[i].id;
-        member.seed = live[i].seed;
-        member.attempt = live[i].attempt;
+        member.request_id = members[i].request.id;
+        member.seed = members[i].request.seed;
+        member.attempt = members[i].request.attempt;
         submit.extras.push_back(member);
     }
+
+    std::shared_ptr<Conn> conn;
+    {
+        std::lock_guard<std::mutex> lock(net_mutex_);
+        if (group_conns_[group] && group_conns_[group]->ready &&
+            inflight_.count(group) == 0) {
+            conn = group_conns_[group];
+            // Register before sending: if the worker dies the instant
+            // the Submit lands, the EOF handler must already see every
+            // member in flight to requeue it.
+            GroupWork work;
+            work.lease = std::move(lease);
+            for (auto &m : members) {
+                const uint64_t id = m.request.id;
+                work.members.emplace(id, std::move(m));
+            }
+            inflight_.emplace(group, std::move(work));
+        }
+    }
+    if (!conn) {
+        // The leased group has no live worker (its connection died
+        // between quarantine bookkeeping and this dispatch, or no
+        // worker ever claimed the slot). Treat it like a lost attempt
+        // for every member.
+        scheduler_->markChipFailed(scheduler_->chipsOf(group).first);
+        for (auto &m : members)
+            requeueOrSettle(std::move(m), "no live worker for group",
+                            /*retryable=*/true, /*chip_failed=*/true);
+        lease.release(); // after markChipFailed: parks, not frees
+        return;
+    }
     metrics.counter("serve.remote.dispatched").add();
-    if (live.size() > 1)
+    if (!submit.extras.empty())
         metrics.counter("serve.remote.batched_dispatches").add();
     if (!conn->send(net::MsgType::Submit, submit.encode()))
         // The connection is dead; the I/O thread's EOF handling (or
@@ -495,15 +388,13 @@ void
 RemoteFrontEnd::handleResult(const std::shared_ptr<Conn> &conn,
                              const net::ResultMsg &result)
 {
-    auto &metrics = MetricsRegistry::global();
-    InFlight in_flight;
-    bool chip_failed = false;
-    std::size_t group = static_cast<std::size_t>(-1);
+    Attempt attempt;
+    const bool chip_failed = result.chip_failed != 0;
     {
         std::lock_guard<std::mutex> lock(net_mutex_);
         if (conn->group == static_cast<std::size_t>(-1))
             return; // result before Hello: protocol violation, ignore
-        group = conn->group;
+        const std::size_t group = conn->group;
         auto it = inflight_.find(group);
         if (it == inflight_.end())
             return; // stale result for a superseded attempt
@@ -511,7 +402,6 @@ RemoteFrontEnd::handleResult(const std::shared_ptr<Conn> &conn,
         if (member == it->second.members.end() ||
             member->second.request.attempt != result.attempt)
             return; // not a member of the batch this group is running
-        chip_failed = result.chip_failed != 0;
         if (chip_failed) {
             // Park the group before the lease releases (below), so
             // release() quarantines instead of freeing — the same
@@ -524,10 +414,12 @@ RemoteFrontEnd::handleResult(const std::shared_ptr<Conn> &conn,
                 scheduler_->chipsOf(group).first);
             if (repairable_since_.count(group) == 0) {
                 repairable_since_[group] = Clock::now();
-                metrics.counter("serve.quarantines").add();
+                MetricsRegistry::global()
+                    .counter("serve.quarantines")
+                    .add();
             }
         }
-        in_flight = std::move(member->second);
+        attempt = std::move(member->second);
         it->second.members.erase(member);
         // The last member to resolve releases the lease — after any
         // markChipFailed above, so a faulted group parks.
@@ -535,117 +427,30 @@ RemoteFrontEnd::handleResult(const std::shared_ptr<Conn> &conn,
             inflight_.erase(it);
     }
 
+    attempt.response.sim_seconds = result.sim_seconds;
+    attempt.response.compile_ms = result.compile_ms;
+    attempt.response.output_hash = result.digest;
     if (result.status ==
         static_cast<uint16_t>(net::WireStatus::Completed)) {
-        Response resp;
-        resp.id = in_flight.request.id;
-        resp.workload = in_flight.request.workload;
-        resp.attempt = in_flight.request.attempt;
-        resp.status = RequestStatus::Completed;
-        resp.queue_ms = in_flight.queue_ms;
-        resp.service_ms = msSince(in_flight.dispatched);
-        resp.total_ms = resp.queue_ms + resp.service_ms;
-        resp.sim_seconds = result.sim_seconds;
-        resp.compile_ms = result.compile_ms;
-        resp.output_hash = result.digest;
-        resp.group = group;
-        resp.batch_streams = in_flight.batch_streams;
-        metrics.counter("serve.requests.completed").add();
-        metrics.histogram("serve.queue_ms").observe(resp.queue_ms);
-        metrics.histogram("serve.service_ms").observe(resp.service_ms);
-        metrics.histogram("serve.total_ms").observe(resp.total_ms);
-        finalize(std::move(resp));
+        settlement_.complete(std::move(attempt));
         return;
     }
-    if (result.retryable == 0) {
-        // A permanent program error: no retry will change it.
-        Response resp;
-        resp.id = in_flight.request.id;
-        resp.workload = in_flight.request.workload;
-        resp.attempt = in_flight.request.attempt;
-        resp.status = RequestStatus::Failed;
-        resp.queue_ms = in_flight.queue_ms;
-        resp.service_ms = msSince(in_flight.dispatched);
-        resp.total_ms = resp.queue_ms + resp.service_ms;
-        resp.group = group;
-        resp.batch_streams = in_flight.batch_streams;
-        resp.error = result.error;
-        metrics.counter("serve.requests.failed").add();
-        finalize(std::move(resp));
-        return;
-    }
-    retryOrFail(std::move(in_flight), group, result.error,
-                chip_failed);
+    requeueOrSettle(std::move(attempt), result.error,
+                    result.retryable != 0, chip_failed);
 }
 
 void
-RemoteFrontEnd::retryOrFail(InFlight in_flight, std::size_t group,
-                            const std::string &error, bool chip_failed)
+RemoteFrontEnd::requeueOrSettle(Attempt attempt, std::string error,
+                                bool retryable, bool chip_failed)
 {
-    auto &metrics = MetricsRegistry::global();
-    Request &request = in_flight.request;
-    Response resp;
-    resp.id = request.id;
-    resp.workload = request.workload;
-    resp.attempt = request.attempt;
-    resp.queue_ms = in_flight.queue_ms;
-    resp.service_ms = msSince(in_flight.dispatched);
-    resp.total_ms = resp.queue_ms + resp.service_ms;
-    if (group != static_cast<std::size_t>(-1))
-        resp.group = group;
-    resp.batch_streams = in_flight.batch_streams;
-    resp.error = error;
-    resp.retryable = true;
-
-    const bool attempts_left =
-        request.attempt + 1 < options_.retry.max_attempts;
-    // Distributed retries requeue immediately: the victim hardware is
+    // Distributed retries requeue at once: the victim hardware is
     // quarantined, so a backoff dwell would only delay the reroute
-    // (and this runs on the I/O thread, which must not sleep). The
-    // deadline check still uses the seeded backoff delay, so a
-    // request that could not have been retried in time in-process is
-    // not retried here either.
-    const double delay_ms = faults::backoffMs(
-        request.seed, request.attempt, options_.retry.backoff_base_ms,
-        options_.retry.backoff_mult, options_.retry.backoff_max_ms,
-        options_.retry.backoff_jitter);
-    const bool deadline_allows =
-        request.deadline.count() == 0 ||
-        msSince(request.born) + delay_ms <=
-            static_cast<double>(request.deadline.count());
-
-    if (attempts_left && deadline_allows) {
-        Request next = request;
-        ++next.attempt;
-        // requeue() restamps `admitted` (per-attempt queue wait) but
-        // never `born`: the deadline budget is not extended by the
-        // failure that caused this retry. Requeue BEFORE recording the
-        // Retried row: a sealed queue refuses the requeue, and then
-        // the request must finalize as Failed instead of vanishing.
-        if (queue_->requeue(std::move(next))) {
-            resp.status = RequestStatus::Retried;
-            resp.requeued = chip_failed;
-            metrics.counter("serve.retries").add();
-            if (resp.requeued)
-                metrics.counter("serve.requeued").add();
-            record(std::move(resp));
-            return;
-        }
-        resp.status = RequestStatus::Failed;
-        resp.error += " (retry refused: queue sealed)";
-        metrics.counter("serve.requests.failed").add();
-        metrics.counter("serve.requeue_refused").add();
-        finalize(std::move(resp));
-        return;
-    }
-    if (!deadline_allows) {
-        resp.status = RequestStatus::Expired;
-        metrics.counter("serve.requests.expired").add();
-    } else {
-        resp.status = RequestStatus::Failed;
-        metrics.counter("serve.requests.failed").add();
-    }
-    finalize(std::move(resp));
+    // (and the I/O thread must not sleep). The deadline check still
+    // counts the seeded backoff, so a request that could not have
+    // been retried in time in-process is not retried here either.
+    if (auto r = settlement_.lose(std::move(attempt), std::move(error),
+                                  retryable, chip_failed))
+        settlement_.retry(std::move(*r));
 }
 
 void
@@ -703,9 +508,10 @@ RemoteFrontEnd::dropConn(const std::shared_ptr<Conn> &conn,
         // to surviving hardware with its deadline budget intact.
         for (auto &[id, member] : work.members) {
             (void)id;
-            retryOrFail(std::move(member), group,
-                        std::string("worker connection lost: ") + why,
-                        /*chip_failed=*/true);
+            requeueOrSettle(std::move(member),
+                            std::string("worker connection lost: ") +
+                                why,
+                            /*retryable=*/true, /*chip_failed=*/true);
         }
 }
 
@@ -752,43 +558,22 @@ RemoteFrontEnd::tick()
 }
 
 void
-RemoteFrontEnd::record(Response resp)
-{
-    std::lock_guard<std::mutex> lock(responses_mutex_);
-    responses_.push_back(std::move(resp));
-}
-
-void
-RemoteFrontEnd::finalize(Response resp)
-{
-    std::lock_guard<std::mutex> lock(responses_mutex_);
-    responses_.push_back(std::move(resp));
-    ++finalized_;
-    drained_cv_.notify_all();
-}
-
-void
 RemoteFrontEnd::drainAndStop()
 {
-    {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        CINN_ASSERT(started_, "front-end not started");
-    }
-    queue_->close();
+    CINN_ASSERT(settlement_.running(), "front-end not started");
+    auto &queue = settlement_.queue();
+    queue.close();
     // Every admitted request must reach a final state — completed,
     // expired, or failed — before the workers may be drained. Worker
     // deaths during this wait still requeue losslessly; the retry
     // bound guarantees termination even with zero live workers.
-    {
-        std::unique_lock<std::mutex> lock(responses_mutex_);
-        drained_cv_.wait(lock, [&] { return finalized_ >= admitted_; });
-    }
+    settlement_.waitSettled();
     stop_dispatch_.store(true);
     dispatch_thread_.join();
     // Everything admitted is finalized and the dispatcher is gone:
     // a straggling requeue now would vanish silently, so seal the
     // queue — any late requeue fails loudly and finalizes as Failed.
-    queue_->seal();
+    queue.seal();
 
     // Orderly worker shutdown: Drain → DrainAck → worker exits. The
     // EOFs that follow must not read as failures.
@@ -817,51 +602,22 @@ RemoteFrontEnd::drainAndStop()
             conn.reset();
     }
     listener_.close();
-    {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        wall_seconds_ =
-            std::chrono::duration<double>(Clock::now() - start_time_)
-                .count();
-        started_ = false;
-    }
+    settlement_.stopClock();
 }
 
 std::vector<Response>
 RemoteFrontEnd::responses() const
 {
-    std::lock_guard<std::mutex> lock(responses_mutex_);
-    return responses_;
+    return settlement_.responses();
 }
 
 ServeStats
 RemoteFrontEnd::stats() const
 {
-    std::vector<Response> resp;
-    std::size_t submitted;
-    {
-        std::lock_guard<std::mutex> lock(responses_mutex_);
-        resp = responses_;
-        submitted = submitted_;
-    }
-    double wall;
-    {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        wall = started_
-                   ? std::chrono::duration<double>(Clock::now() -
-                                                   start_time_)
-                         .count()
-                   : wall_seconds_;
-    }
     // The compile/sim caches live in the worker processes; the
     // front-end has none, so cache stats are empty here.
-    auto s = ServeStats::fromResponses(resp, submitted,
-                                       queue_->rejected(), wall,
-                                       CacheStats{},
-                                       scheduler_->busySeconds(),
-                                       scheduler_->quarantinedMask());
-    s.rejected_full = queue_->rejectedFull();
-    s.rejected_closed = queue_->rejectedClosed();
-    return s;
+    return settlement_.stats(CacheStats{}, scheduler_->busySeconds(),
+                             scheduler_->quarantinedMask());
 }
 
 } // namespace cinnamon::serve::remote

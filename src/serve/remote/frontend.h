@@ -4,22 +4,26 @@
  * (DESIGN.md §5d).
  *
  * The front-end owns everything a request needs before and after it
- * touches hardware — admission (the same bounded RequestQueue as the
- * in-process server), dispatch order (FIFO with seed-keyed group
+ * touches hardware — admission and settlement (the same Settlement
+ * module as the in-process server: bounded queue, deadlines, retry
+ * policy, response rows), dispatch order (FIFO with seed-keyed group
  * preference), and placement (one chip group per connected worker
- * process, leased through the existing ChipGroupScheduler) — while
- * the compile → simulate → emulate pipeline itself runs in worker
- * processes across standing TCP connections.
+ * process, leased through the existing ChipGroupScheduler; a batch
+ * rides one worker) — while the compile → simulate → emulate
+ * pipeline itself runs in worker processes across standing TCP
+ * connections.
  *
- * Failure mapping (the §5c machinery, verbatim): a worker that
+ * Failure mapping (the shared settlement module): a worker that
  * misses heartbeats, drops its connection, or reports a chip fault is
  * a quarantined group — markChipFailed parks it, its in-flight
- * request is requeued losslessly with its original deadline budget
- * (born is never restamped), and the request completes on a
- * surviving worker. Because a request's output digest is a pure
- * function of its seed, the rerouted request produces the exact bytes
- * the dead worker would have — distributed results are bit-identical
- * to single-process runs, kill or no kill.
+ * requests are requeued losslessly with their original deadline
+ * budget (born is never restamped), and each completes on a
+ * surviving worker. Retries requeue at once: the victim hardware is
+ * quarantined, and the I/O thread must not sleep. Because a
+ * request's output digest is a pure function of its seed, the
+ * rerouted request produces the exact bytes the dead worker would
+ * have — distributed results are bit-identical to single-process
+ * runs, kill or no kill.
  *
  * Threads: the caller's (submit/drainAndStop), an I/O thread running
  * the poll event loop (accepts, frame reads, heartbeat timeouts,
@@ -46,9 +50,8 @@
 #include "net/message.h"
 #include "net/socket.h"
 #include "serve/batcher.h"
-#include "serve/queue.h"
 #include "serve/scheduler.h"
-#include "serve/server.h"
+#include "serve/settlement.h"
 #include "serve/stats.h"
 
 namespace cinnamon::serve::remote {
@@ -160,26 +163,16 @@ class RemoteFrontEnd
                   const std::vector<uint8_t> &payload);
     };
 
-    /** One request currently executing on a worker. */
-    struct InFlight
-    {
-        Request request;
-        Clock::time_point dispatched{};
-        double queue_ms = 0.0; ///< admission → dispatch, precomputed
-        /** Members of the batch this attempt rode (1 = solo). */
-        std::size_t batch_streams = 1;
-    };
-
     /**
      * Everything one leased group is executing: the lease plus the
-     * batch members (by request id). The lease releases when the last
-     * member resolves — after any markChipFailed, so a faulted group
-     * parks instead of freeing.
+     * batch members' attempts (by request id). The lease releases
+     * when the last member resolves — after any markChipFailed, so a
+     * faulted group parks instead of freeing.
      */
     struct GroupWork
     {
         GroupLease lease;
-        std::map<uint64_t, InFlight> members;
+        std::map<uint64_t, Attempt> members;
     };
 
     // I/O thread.
@@ -206,23 +199,15 @@ class RemoteFrontEnd
     void dispatch(std::vector<Request> batch);
 
     /**
-     * Record a final response and wake drainAndStop when everything
-     * admitted is accounted for.
+     * Settle an attempt that lost its result: retry it at once when
+     * the settlement policy allows, else its final row.
      */
-    void finalize(Response resp);
-    /** Record an intermediate (Retried) response row. */
-    void record(Response resp);
-    /**
-     * Requeue-or-finalize a faulted attempt: mirrors the in-process
-     * retry policy (bounded attempts, deadline never extended).
-     * `in_flight` is consumed; `group` is the placement for the
-     * response row (size_t(-1) when no group was ever leased).
-     */
-    void retryOrFail(InFlight in_flight, std::size_t group,
-                     const std::string &error, bool chip_failed);
+    void requeueOrSettle(Attempt attempt, std::string error,
+                         bool retryable, bool chip_failed);
 
     FrontEndOptions options_;
-    std::unique_ptr<RequestQueue> queue_;
+    /** Admission, the queue, and every response row. */
+    Settlement settlement_;
     std::unique_ptr<BatchFormer> batcher_;
     std::unique_ptr<ChipGroupScheduler> scheduler_;
     net::EventLoop loop_;
@@ -232,7 +217,7 @@ class RemoteFrontEnd
     std::thread io_thread_;
     std::thread dispatch_thread_;
 
-    /** Guards conns_, group_conns_, inflight_, hello_count_. */
+    /** Guards the connection and placement state below. */
     mutable std::mutex net_mutex_;
     std::map<int, std::shared_ptr<Conn>> conns_; ///< by fd
     std::vector<std::shared_ptr<Conn>> group_conns_; ///< by group
@@ -246,19 +231,7 @@ class RemoteFrontEnd
     /** Set during drainAndStop: worker EOFs are orderly, not faults. */
     bool draining_ = false;
 
-    mutable std::mutex responses_mutex_;
-    std::condition_variable drained_cv_;
-    std::vector<Response> responses_;
-    std::size_t submitted_ = 0;
-    std::size_t admitted_ = 0;
-    std::size_t finalized_ = 0;
-    uint64_t next_id_ = 1;
-
-    mutable std::mutex state_mutex_;
-    bool started_ = false;
     std::atomic<bool> stop_dispatch_{false};
-    Clock::time_point start_time_{};
-    double wall_seconds_ = 0.0;
 };
 
 } // namespace cinnamon::serve::remote

@@ -1,6 +1,5 @@
 #include "serve/remote/worker.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -19,15 +18,6 @@ namespace cinnamon::serve::remote {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double
-msSince(Clock::time_point t)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() - t)
-        .count();
-}
-
 /**
  * Everything one worker needs: the same RequestExecutor the
  * in-process server runs, so results are bit-identical to in-process
@@ -35,7 +25,6 @@ msSince(Clock::time_point t)
  */
 struct WorkerState
 {
-    WorkerOptions opt;
     RequestExecutor executor;
 
     net::Socket sock;
@@ -45,13 +34,14 @@ struct WorkerState
     uint64_t completed = 0;
 
     WorkerState(const fhe::CkksContext &c, const WorkerOptions &o)
-        : opt(o), executor(c, {.group_size = o.group_size,
-                               .emulate = o.emulate,
-                               .emulate_max_n = o.emulate_max_n,
-                               .hw = o.hw,
-                               .faults = o.faults,
-                               .autotune = o.autotune,
-                               .strategy = o.strategy})
+        : executor(c, {.group_size = o.group_size,
+                       .emulate = o.emulate,
+                       .emulate_max_n = o.emulate_max_n,
+                       .time_dilation = o.time_dilation,
+                       .hw = o.hw,
+                       .faults = o.faults,
+                       .autotune = o.autotune,
+                       .strategy = o.strategy})
     {
     }
 
@@ -69,11 +59,11 @@ struct WorkerState
  * fields, co-members (wire v2) the `extras`, and a lone request is a
  * batch of one. The worker's group hosts every member's stream of one
  * replicateStreams() program (the physical machine behind one worker
- * emulates the multi-group layout), so one execution serves the whole
- * batch and each member's digest is bit-identical to a solo run.
- * Returns one Result per member, lead request first. Sets *drop_conn
- * when any member drew a conn-drop fault (the whole batch is lost
- * with the connection, exactly like a real crash).
+ * emulates the multi-group layout), so one RequestExecutor::run
+ * serves the whole batch and each member's digest is bit-identical
+ * to a solo run. Returns one Result per member, lead request first.
+ * Sets *drop_conn when any member drew a conn-drop fault (the whole
+ * batch is lost with the connection, exactly like a real crash).
  */
 std::vector<net::ResultMsg>
 executeSubmitBatch(WorkerState &state, const net::SubmitMsg &submit,
@@ -99,12 +89,10 @@ executeSubmitBatch(WorkerState &state, const net::SubmitMsg &submit,
     for (const auto &e : submit.extras)
         add(e.request_id, e.seed, e.attempt);
 
-    bool chip_fault = false;
+    // An injected connection drop severs the link mid-request: the
+    // front-end sees EOF with this batch in flight, quarantines the
+    // group, and requeues — the same observable as a real crash.
     for (const auto &fate : fates) {
-        // An injected connection drop severs the link mid-request:
-        // the front-end sees EOF with this batch in flight,
-        // quarantines the group, and requeues — the same observable
-        // as a real crash.
         if (fate.conn_drops) {
             *drop_conn = true;
             MetricsRegistry::global()
@@ -112,61 +100,26 @@ executeSubmitBatch(WorkerState &state, const net::SubmitMsg &submit,
                 .add();
             return results;
         }
-        chip_fault = chip_fault || fate.chip_fails;
     }
 
-    const auto workload = static_cast<Workload>(submit.workload);
-    const auto set_status = [](net::ResultMsg &r, net::WireStatus s) {
-        r.status = static_cast<uint16_t>(s);
-    };
-    try {
-        // One plan for the whole batch (members share a workload).
-        const auto plan = executor.planFor(workload);
-        const auto timings = executor.simulate(workload, plan, fates);
-        const auto probe = executor.execute(plan, seeds, fates);
-        double max_sim = 0.0;
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            results[i].sim_seconds = timings[i].seconds;
-            results[i].compile_ms =
-                timings[i].compile_ms + probe.compile_ms;
-            results[i].digest = probe.digests[i];
-            max_sim = std::max(max_sim, timings[i].seconds);
-        }
-
-        if (state.opt.time_dilation > 0.0)
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                max_sim * state.opt.time_dilation));
-
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            if (fates[i].transient) {
-                // Per-member loss after the run: the device did the
-                // work, this member's result is spuriously gone. It
-                // retries alone.
-                set_status(results[i], net::WireStatus::Failed);
-                results[i].error =
-                    "injected transient execution fault";
-                results[i].retryable = 1;
-                results[i].digest = 0;
-            } else {
-                set_status(results[i], net::WireStatus::Completed);
-            }
-        }
-    } catch (const std::exception &e) {
-        // Whole-batch abort (chip death mid-program): every member's
-        // attempt is lost together. chip_failed routes the group
-        // quarantine on the front-end (idempotent per group).
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            set_status(results[i], net::WireStatus::Failed);
-            results[i].error = e.what();
-            results[i].retryable =
-                (chip_fault || fates[i].any()) ? 1 : 0;
-            results[i].chip_failed = chip_fault ? 1 : 0;
-            results[i].digest = 0;
-        }
-    }
+    const auto outcomes = executor.run(
+        static_cast<Workload>(submit.workload), seeds, fates);
     const double service_ms = msSince(start);
-    for (auto &r : results)
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const auto &o = outcomes[i];
+        auto &r = results[i];
+        r.status = static_cast<uint16_t>(
+            o.kind == RequestExecutor::Outcome::Completed
+                ? net::WireStatus::Completed
+                : net::WireStatus::Failed);
         r.service_ms = service_ms;
+        r.sim_seconds = o.sim_seconds;
+        r.compile_ms = o.compile_ms;
+        r.digest = o.digest;
+        r.error = o.error;
+        r.retryable = o.retryable ? 1 : 0;
+        r.chip_failed = o.chip_failed ? 1 : 0;
+    }
     return results;
 }
 

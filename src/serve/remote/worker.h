@@ -11,15 +11,16 @@
  *   Result } → Drain → DrainAck → exit
  *
  * Every Submit executes as a batch — a lone request is a batch of
- * one — through the same RequestExecutor the in-process server uses
- * (serve/executor.h): the workload's kernels are timed through its
- * BenchmarkRunner, and the catalog probe is emulated end-to-end with
- * per-member request-seeded keys via
- * exec::EmulateBackend::executeSeededBatch — so a request's output
- * digest is a pure function of (seed, catalog, parameters),
- * identical whether it was served in-process or by any worker
- * process, alone or batched. That is the distributed tier's
- * determinism contract.
+ * one — through one RequestExecutor::run call, the same attempt the
+ * in-process server runs (serve/executor.h): the workload's kernels
+ * are timed through its BenchmarkRunner, the catalog probe is
+ * emulated end-to-end with per-member request-seeded keys via
+ * exec::EmulateBackend::executeSeededBatch, and the device dwells
+ * for time_dilation — so a request's output digest is a pure
+ * function of (seed, catalog, parameters), identical whether it was
+ * served in-process or by any worker process, alone or batched. That
+ * is the distributed tier's determinism contract. The worker only
+ * maps each member's outcome onto its Result.
  *
  * A heartbeat thread beats every heartbeat_interval_ms for the whole
  * worker lifetime, including while a request is executing — liveness
@@ -27,12 +28,13 @@
  * is never mistaken for a dead worker.
  *
  * Fault injection: the worker draws from the same deterministic
- * FaultPlan as the in-process server. Chip and transient faults are
- * reported back in the Result (the front-end quarantines/retries; a
- * chip fault fails every member, a transient one only its own);
- * a conn-drop fault makes the worker sever its connection mid-request
- * and exit with kConnDropExit — indistinguishable, to the front-end,
- * from a real crash or partition.
+ * FaultPlan as the in-process server. Chip and transient faults come
+ * back in the Result with the executor's retryable and chip_failed
+ * flags, and the front-end settles them under the shared policy
+ * (serve/settlement.h); a conn-drop fault makes the worker sever its
+ * connection mid-request and exit with kConnDropExit —
+ * indistinguishable, to the front-end, from a real crash or
+ * partition.
  */
 
 #ifndef CINNAMON_SERVE_REMOTE_WORKER_H_

@@ -23,6 +23,14 @@ namespace cinnamon::serve {
 
 using Clock = std::chrono::steady_clock;
 
+/** Wall-clock milliseconds elapsed since `t`. */
+inline double
+msSince(Clock::time_point t)
+{
+    return std::chrono::duration<double, std::milli>(Clock::now() - t)
+        .count();
+}
+
 /**
  * The workload a request asks the runtime to execute.
  *
@@ -53,14 +61,18 @@ struct Request
     uint64_t seed = 0;
     /** Wall-clock deadline measured from first admission; 0 = none. */
     std::chrono::milliseconds deadline{0};
-    /** Stamped by the queue at (re-)admission. */
+    /**
+     * When the current attempt was scheduled: stamped at submit and
+     * at each retry, kept when a request is handed back to the queue
+     * without a new attempt. queue_ms counts from here.
+     */
     Clock::time_point admitted{};
     /**
      * First admission; the deadline budget spans every attempt, so
-     * retries never reset it. Stamped once by Server::submit().
+     * retries never reset it. Stamped once at submit.
      */
     Clock::time_point born{};
-    /** Execution attempt, 0-based; bumped on each requeue. */
+    /** Execution attempt, 0-based; bumped on each retry. */
     std::size_t attempt = 0;
 };
 
@@ -82,7 +94,7 @@ struct Response
     Workload workload = Workload::Keyswitch;
     RequestStatus status = RequestStatus::Completed;
 
-    double queue_ms = 0.0;   ///< admission → dequeue
+    double queue_ms = 0.0;   ///< attempt admitted → dequeue
     double service_ms = 0.0; ///< dequeue → completion (incl. group wait)
     double total_ms = 0.0;   ///< admission → completion
     double sim_seconds = 0.0; ///< simulated on-accelerator time

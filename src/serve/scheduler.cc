@@ -130,16 +130,6 @@ ChipGroupScheduler::acquireUpTo(std::size_t max_groups)
 }
 
 GroupLease
-ChipGroupScheduler::tryAcquire()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Respect FIFO: if someone holds an earlier ticket, don't overtake.
-    if (next_ticket_ != serving_ticket_ || free_.empty())
-        return GroupLease();
-    return GroupLease(this, leaseLocked(Clock::now()));
-}
-
-GroupLease
 ChipGroupScheduler::tryAcquireGroup(std::size_t group)
 {
     std::lock_guard<std::mutex> lock(mutex_);

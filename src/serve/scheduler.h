@@ -159,9 +159,6 @@ class ChipGroupScheduler
      */
     GroupLease acquire();
 
-    /** Lease a group only if one is free right now. */
-    GroupLease tryAcquire();
-
     /**
      * Batch-granularity lease: block (FIFO, same ticket line as
      * acquire) until at least one group is free, then additionally

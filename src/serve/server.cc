@@ -12,40 +12,51 @@ namespace {
 /** pid of the server's track in the request trace. */
 constexpr uint32_t kServerPid = 0;
 
-double
-msSince(Clock::time_point t)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() - t)
-        .count();
-}
-
 RequestExecutor::Config
 executorConfig(const ServeOptions &o)
 {
     return {.group_size = o.group_size,
             .emulate = o.emulate,
             .emulate_max_n = o.emulate_max_n,
+            .time_dilation = o.time_dilation,
             .hw = o.hw,
             .faults = o.faults,
             .autotune = o.autotune,
             .strategy = o.strategy};
 }
 
+/**
+ * A span the `members` of one attempt share. It carries the member
+ * count plus the lead member's rid and workload, so a batch of one
+ * traces exactly like a lone request. A null recorder records
+ * nothing.
+ */
+ScopedSpan
+batchSpan(TraceRecorder *trace, const char *name, uint32_t tid,
+          std::size_t members, const Request &lead)
+{
+    ScopedSpan s(trace, name, "serve", kServerPid, tid);
+    s.arg("members", static_cast<double>(members));
+    s.arg("rid", static_cast<double>(lead.id));
+    s.arg("workload", workloadName(lead.workload));
+    return s;
+}
+
 } // namespace
 
 Server::Server(const fhe::CkksContext &ctx, ServeOptions options)
-    : options_(options), executor_(ctx, executorConfig(options))
+    : options_(options), executor_(ctx, executorConfig(options)),
+      settlement_(options.queue_capacity, options.retry)
 {
     CINN_FATAL_UNLESS(options_.workers >= 1,
                       "the worker pool needs at least one thread");
-    queue_ = std::make_unique<RequestQueue>(options_.queue_capacity);
     scheduler_ = std::make_unique<ChipGroupScheduler>(
         options_.chips, options_.group_size);
     // A batch cannot span more chip groups than the machine has.
     options_.batch_max_streams =
         std::max<std::size_t>(1, std::min(options_.batch_max_streams,
                                           scheduler_->numGroups()));
-    batcher_ = std::make_unique<BatchFormer>(*queue_,
+    batcher_ = std::make_unique<BatchFormer>(settlement_.queue(),
                                              options_.batch_linger_ms);
     if (options_.trace) {
         trace_.setProcessName(kServerPid, "cinnamon-serve");
@@ -61,24 +72,14 @@ Server::Server(const fhe::CkksContext &ctx, ServeOptions options)
 
 Server::~Server()
 {
-    bool started;
-    {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        started = started_;
-    }
-    if (started)
+    if (settlement_.running())
         drainAndStop();
 }
 
 void
 Server::start()
 {
-    {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        CINN_ASSERT(!started_, "server already started");
-        started_ = true;
-        start_time_ = Clock::now();
-    }
+    settlement_.startClock();
     workers_.reserve(options_.workers);
     for (std::size_t w = 0; w < options_.workers; ++w)
         workers_.emplace_back([this, w] { batchedWorkerLoop(w); });
@@ -95,57 +96,22 @@ bool
 Server::submit(Workload workload, uint64_t seed,
                std::chrono::milliseconds deadline)
 {
-    Request r;
-    r.workload = workload;
-    r.seed = seed;
-    r.deadline = deadline;
-    r.born = Clock::now();
-    {
-        std::lock_guard<std::mutex> lock(responses_mutex_);
-        r.id = next_id_++;
-        ++submitted_;
-    }
-    auto &metrics = MetricsRegistry::global();
-    metrics.counter("serve.requests.submitted").add();
-    const uint64_t id = r.id;
-    const bool admitted = queue_->submit(std::move(r));
-    if (!admitted) {
-        metrics.counter("serve.requests.rejected").add();
-        // Tell the caller whether this rejection is worth retrying:
-        // a queue-full bounce clears as the queue drains; a submit
-        // after shutdown began never will.
-        Response resp;
-        resp.id = id;
-        resp.workload = workload;
-        resp.status = RequestStatus::Rejected;
-        resp.retryable = !queue_->closed();
-        resp.error = resp.retryable
-                         ? "queue full (backpressure): retry later"
-                         : "server draining: submit elsewhere";
-        if (resp.retryable)
-            metrics.counter("serve.requests.rejected_retryable")
-                .add();
-        std::lock_guard<std::mutex> lock(responses_mutex_);
-        responses_.push_back(std::move(resp));
-    }
-    return admitted;
+    return settlement_.submit(workload, seed, deadline);
 }
 
 void
 Server::drainAndStop()
 {
-    {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        CINN_ASSERT(started_, "server not started");
-    }
-    queue_->close();
+    CINN_ASSERT(settlement_.running(), "server not started");
+    auto &queue = settlement_.queue();
+    queue.close();
     for (auto &t : workers_)
         t.join();
     workers_.clear();
     // The consumers are gone: seal the queue so any straggling
     // requeue attempt (e.g. from a caller holding a stale handle)
     // fails loudly instead of stranding a request nobody will drain.
-    queue_->seal();
+    queue.seal();
     // Stop the health probe only after the workers are gone: a drain
     // stuck on an all-quarantined machine needs the probe to re-admit
     // repaired groups for the final retries to complete.
@@ -157,13 +123,7 @@ Server::drainAndStop()
         probe_cv_.notify_all();
         health_probe_.join();
     }
-    {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        wall_seconds_ =
-            std::chrono::duration<double>(Clock::now() - start_time_)
-                .count();
-        started_ = false;
-    }
+    settlement_.stopClock();
 }
 
 void
@@ -184,360 +144,150 @@ Server::processBatch(std::vector<Request> batch, std::size_t worker)
     TraceRecorder *trace = options_.trace ? &trace_ : nullptr;
     const auto tid = static_cast<uint32_t>(worker);
 
-    // Per-member state: the request, its response under construction,
-    // and its fault decision (pure in (fault seed, request seed,
-    // attempt), so batching never changes a request's fate schedule).
-    struct Member
-    {
-        Request req;
-        Response resp;
-        faults::FaultDecision fault;
-    };
-    std::vector<Member> members;
-    members.reserve(batch.size());
-    for (auto &req : batch) {
-        Member m;
-        m.resp.id = req.id;
-        m.resp.workload = req.workload;
-        m.resp.attempt = req.attempt;
-        m.resp.queue_ms = msSince(req.admitted);
-        m.fault = executor_.decide(req.seed, req.attempt);
-        if (trace != nullptr) {
+    std::vector<Attempt> members = settlement_.begin(std::move(batch));
+    if (members.empty())
+        return;
+
+    BatchLease lease;
+    try {
+        auto s = batchSpan(trace, "acquire", tid, members.size(),
+                           members.front().request);
+        lease = scheduler_->acquireUpTo(members.size());
+    } catch (const NoHealthyGroupsError &e) {
+        // Every group is quarantined. A full outage clears no sooner
+        // than the repair time: wait at least one repair + probe
+        // window before retrying.
+        const double floor_ms = options_.faults.chip_repair_ms +
+                                options_.health_probe_interval_ms;
+        std::vector<Retry> retries;
+        for (auto &m : members)
+            if (auto r = settlement_.lose(std::move(m), e.what(),
+                                          /*retryable=*/true,
+                                          /*requeued=*/true, floor_ms))
+                retries.push_back(std::move(*r));
+        backOff(std::move(retries), worker);
+        return;
+    }
+
+    // Surplus members beyond the lease go back to the queue with
+    // their admission stamp — not a new attempt, so no response row;
+    // a later batch serves them.
+    while (members.size() > lease.size()) {
+        settlement_.handBack(std::move(members.back()));
+        members.pop_back();
+    }
+    // A member's queue span is recorded once it holds a group, so a
+    // handed-back member has one queue span, covering all its wait.
+    if (trace != nullptr) {
+        for (const auto &m : members) {
             TraceEvent e;
             e.name = "queue";
             e.category = "serve";
             e.pid = kServerPid;
             e.tid = tid;
-            e.ts_us = trace->toUs(req.admitted);
-            e.dur_us = m.resp.queue_ms * 1e3;
-            e.num_args.emplace_back("rid", static_cast<double>(req.id));
-            e.str_args.emplace_back("workload",
-                                    workloadName(req.workload));
+            e.ts_us = trace->toUs(m.request.admitted);
+            e.dur_us = m.response.queue_ms * 1e3;
+            e.num_args.emplace_back("rid",
+                                    static_cast<double>(m.request.id));
+            e.str_args.emplace_back(
+                "workload", workloadName(m.request.workload));
             trace->complete(std::move(e));
         }
-        m.req = std::move(req);
-        members.push_back(std::move(m));
     }
 
-    // A span the members share carries the batch size plus the lead
-    // member's rid and workload, so a batch of one traces exactly
-    // like a lone request. `on` = false records nothing.
-    auto span = [&](const char *name, const std::vector<Member> &of,
-                    bool on = true) {
-        ScopedSpan s(on ? trace : nullptr, name, "serve", kServerPid,
-                     tid);
-        s.arg("members", static_cast<double>(of.size()));
-        s.arg("rid", static_cast<double>(of.front().req.id));
-        s.arg("workload", workloadName(of.front().req.workload));
-        return s;
-    };
-
-    // Every response leaves through here, so total_ms is always
-    // queue_ms + service_ms, whatever the fate.
-    auto finish = [&](Member &m, RequestStatus status) {
-        m.resp.status = status;
-        m.resp.total_ms = m.resp.queue_ms + m.resp.service_ms;
-        switch (status) {
-        case RequestStatus::Completed:
-            metrics.counter("serve.requests.completed").add();
-            metrics.histogram("serve.queue_ms")
-                .observe(m.resp.queue_ms);
-            metrics.histogram("serve.service_ms")
-                .observe(m.resp.service_ms);
-            metrics.histogram("serve.total_ms")
-                .observe(m.resp.total_ms);
-            metrics.histogram("serve.compile_ms")
-                .observe(m.resp.compile_ms);
-            break;
-        case RequestStatus::Expired:
-            metrics.counter("serve.requests.expired").add();
-            break;
-        case RequestStatus::Failed:
-            metrics.counter("serve.requests.failed").add();
-            break;
-        case RequestStatus::Retried:
-            metrics.counter("serve.retries").add();
-            if (m.resp.requeued)
-                metrics.counter("serve.requeued").add();
-            break;
-        case RequestStatus::Rejected: break;
-        }
-        std::lock_guard<std::mutex> lock(responses_mutex_);
-        responses_.push_back(std::move(m.resp));
-    };
-
-    // The deadline budget is measured from first admission (`born`),
-    // so a retried attempt inherits whatever its earlier attempts
-    // already spent — retries never reset the clock.
-    const auto deadline_ms = [](const Request &r) {
-        return static_cast<double>(r.deadline.count());
-    };
-    const auto over_deadline = [&](const Request &r) {
-        return r.deadline.count() > 0 &&
-               msSince(r.born) > deadline_ms(r);
-    };
-    auto expire = [&](Member &m, bool after_lease) {
-        if (after_lease)
-            metrics.counter("serve.requests.expired_after_lease")
-                .add();
-        finish(m, RequestStatus::Expired);
-    };
-
-    // Shed members whose latency budget was spent in the queue:
-    // running them would only push the requests behind them past
-    // their own deadlines.
-    {
-        std::vector<Member> live;
-        live.reserve(members.size());
-        for (auto &m : members) {
-            if (over_deadline(m.req))
-                expire(m, /*after_lease=*/false);
-            else
-                live.push_back(std::move(m));
-        }
-        members = std::move(live);
-    }
+    // Re-check deadlines after the (possibly long) wait for hardware:
+    // a member whose budget lapsed while other tenants held the
+    // machine is shed, not run; its group goes back.
+    settlement_.shed(members);
     if (members.empty())
-        return;
+        return; // the lease destructor releases everything
+    lease.shrinkTo(members.size());
 
-    const auto service_start = Clock::now();
-
-    // Retry-or-finalize for members whose attempt aborted, each under
-    // its own backoff and deadline math, but sleeping once for the
-    // whole set — the members shared one attempt, they share one
-    // backoff.
-    auto settle_aborted = [&](std::vector<Member> aborted,
-                              const std::string &error, bool retryable,
-                              bool requeued_flag,
-                              double delay_floor_ms) {
-        double max_delay_ms = 0.0;
-        std::vector<Member> retries;
-        for (auto &m : aborted) {
-            m.resp.service_ms = msSince(service_start);
-            m.resp.retryable = retryable;
-            m.resp.error = error;
-            if (!retryable) {
-                finish(m, RequestStatus::Failed);
-                continue;
-            }
-            const bool attempts_left =
-                m.req.attempt + 1 < options_.retry.max_attempts;
-            double delay_ms = faults::backoffMs(
-                m.req.seed, m.req.attempt,
-                options_.retry.backoff_base_ms,
-                options_.retry.backoff_mult,
-                options_.retry.backoff_max_ms,
-                options_.retry.backoff_jitter);
-            delay_ms = std::max(delay_ms, delay_floor_ms);
-            // Deadline-aware: a retry is scheduled only if its backoff
-            // still fits inside the budget.
-            const bool deadline_allows =
-                m.req.deadline.count() == 0 ||
-                msSince(m.req.born) + delay_ms <= deadline_ms(m.req);
-            if (attempts_left && deadline_allows) {
-                max_delay_ms = std::max(max_delay_ms, delay_ms);
-                retries.push_back(std::move(m));
-            } else if (!deadline_allows) {
-                // The fault burned the rest of the budget: shed, not
-                // lost.
-                expire(m, /*after_lease=*/false);
-            } else {
-                finish(m, RequestStatus::Failed);
-            }
-        }
-        if (retries.empty())
-            return;
-        {
-            auto s = span("backoff", retries);
-            s.arg("delay_ms", max_delay_ms);
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(
-                    max_delay_ms));
-        }
-        for (auto &m : retries) {
-            Request next = m.req;
-            ++next.attempt;
-            if (!queue_->requeue(std::move(next))) {
-                // The queue was sealed while we backed off: nothing
-                // will ever drain the retry. Finalize as Failed —
-                // request conservation over a silent loss.
-                m.resp.error += " (retry refused: queue sealed)";
-                metrics.counter("serve.requeue_refused").add();
-                finish(m, RequestStatus::Failed);
-                continue;
-            }
-            m.resp.requeued = requeued_flag;
-            finish(m, RequestStatus::Retried);
-        }
-    };
-
-    try {
-        BatchLease lease;
-        {
-            auto s = span("acquire", members);
-            lease = scheduler_->acquireUpTo(members.size());
-        }
-
-        // Surplus members beyond the lease go back to the queue —
-        // not a retry, so the attempt counter is untouched and no
-        // response row is emitted; they will be served by a later
-        // batch.
-        while (members.size() > lease.size()) {
-            Member m = std::move(members.back());
-            members.pop_back();
-            if (!queue_->requeue(std::move(m.req))) {
-                m.resp.service_ms = msSince(service_start);
-                m.resp.error = "batch overflow: queue sealed";
-                metrics.counter("serve.requeue_refused").add();
-                finish(m, RequestStatus::Failed);
-            }
-        }
-
-        // Re-check deadlines after the (possibly long) wait for
-        // hardware — a member whose budget lapsed while other tenants
-        // held the machine is shed, not run — then return any groups
-        // the shed members held.
-        {
-            std::vector<Member> live;
-            live.reserve(members.size());
-            for (auto &m : members) {
-                if (over_deadline(m.req)) {
-                    m.resp.service_ms = msSince(service_start);
-                    expire(m, /*after_lease=*/true);
-                } else {
-                    live.push_back(std::move(m));
-                }
-            }
-            members = std::move(live);
-            if (members.empty())
-                return; // lease destructor releases everything
-            lease.shrinkTo(members.size());
-        }
-
-        const std::size_t k = members.size();
-        std::vector<uint64_t> seeds;
-        std::vector<faults::FaultDecision> fates;
-        for (std::size_t i = 0; i < k; ++i) {
-            members[i].resp.group = lease.group(i);
-            members[i].resp.batch_streams = k;
-            seeds.push_back(members[i].req.seed);
-            fates.push_back(members[i].fault);
-        }
-
-        // Quarantine every chip-fault victim's group *before*
-        // executing: the injected EmulatorError unwinds through the
-        // lease destructor, and release() must already know those
-        // groups are poisoned so it parks them instead of freeing
-        // them.
-        for (std::size_t i = 0; i < k; ++i) {
-            if (!fates[i].chip_fails)
-                continue;
-            const std::size_t victim =
-                scheduler_->chipsOf(lease.group(i)).first +
-                fates[i].chip_offset % options_.group_size;
-            metrics.counter("serve.quarantines").add();
-            scheduler_->markChipFailed(victim);
-            if (trace != nullptr) {
-                TraceEvent e;
-                e.name = "quarantine";
-                e.category = "faults";
-                e.pid = kServerPid;
-                e.tid = tid;
-                e.ts_us = trace->nowUs();
-                e.num_args.emplace_back("chip",
-                                        static_cast<double>(victim));
-                e.num_args.emplace_back(
-                    "group", static_cast<double>(lease.group(i)));
-                e.num_args.emplace_back(
-                    "rid", static_cast<double>(members[i].req.id));
-                trace->complete(std::move(e));
-            }
-        }
-
-        // One plan for the whole batch: compatible members share a
-        // workload, so every member gets the same choice.
-        const Workload workload = members.front().req.workload;
-        const auto plan = executor_.planFor(workload);
-        {
-            auto s = span("simulate", members);
-            const auto timings =
-                executor_.simulate(workload, plan, fates);
-            for (std::size_t i = 0; i < k; ++i) {
-                members[i].resp.sim_seconds = timings[i].seconds;
-                members[i].resp.compile_ms = timings[i].compile_ms;
-            }
-        }
-        {
-            // Member i's stream runs on the chips of lease.group(i);
-            // its digest equals the member's run alone.
-            auto s = span("probe", members, executor_.emulates());
-            const auto probe = executor_.execute(plan, seeds, fates);
-            for (std::size_t i = 0; i < k; ++i) {
-                members[i].resp.output_hash = probe.digests[i];
-                members[i].resp.compile_ms += probe.compile_ms;
-            }
-        }
-
-        // Model device occupancy once for the whole batch: every
-        // leased group runs concurrently, so the host thread dwells
-        // for the slowest member only.
-        if (options_.time_dilation > 0.0) {
-            auto s = span("dwell", members);
-            double max_sim = 0.0;
-            for (const auto &m : members)
-                max_sim = std::max(max_sim, m.resp.sim_seconds);
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                max_sim * options_.time_dilation));
-        }
-
-        // Transient faults are per-member and land after the run: the
-        // device did the work, but a transient member's result is
-        // spuriously lost and the member retries alone.
-        std::vector<Member> transients;
-        for (auto &m : members) {
-            if (m.fault.transient) {
-                m.resp.output_hash = 0; // the result was lost
-                transients.push_back(std::move(m));
-            } else {
-                m.resp.service_ms = msSince(service_start);
-                finish(m, RequestStatus::Completed);
-            }
-        }
-        members.clear();
-
-        if (!transients.empty()) {
-            lease.release(); // don't hold hardware through backoff
-            settle_aborted(std::move(transients),
-                           "injected transient execution fault",
-                           /*retryable=*/true, /*requeued_flag=*/false,
-                           /*delay_floor_ms=*/0.0);
-        }
-    } catch (const std::exception &e) {
-        // The whole attempt aborted — injected chip death unwinding
-        // out of the emulator (or the sim-side abort), or a
-        // fully-quarantined machine. Injected faults and a
-        // fully-quarantined machine are transient infrastructure
-        // conditions, hence retryable; anything else is a permanent
-        // program error. Every member shares the abort.
-        const bool no_healthy =
-            dynamic_cast<const NoHealthyGroupsError *>(&e) != nullptr;
-        bool any_fault = false;
-        bool any_chip = false;
-        for (const auto &m : members) {
-            any_fault = any_fault || m.fault.any();
-            any_chip = any_chip || m.fault.chip_fails;
-        }
-        const bool retryable = no_healthy || any_fault;
-        // A full outage clears no sooner than the repair time; wait
-        // at least one repair + probe window before retrying.
-        const double delay_floor_ms =
-            no_healthy ? options_.faults.chip_repair_ms +
-                             options_.health_probe_interval_ms
-                       : 0.0;
-        settle_aborted(std::move(members), e.what(), retryable,
-                       /*requeued_flag=*/any_chip || no_healthy,
-                       delay_floor_ms);
+    const std::size_t k = members.size();
+    std::vector<uint64_t> seeds;
+    std::vector<faults::FaultDecision> fates;
+    for (std::size_t i = 0; i < k; ++i) {
+        members[i].response.group = lease.group(i);
+        members[i].response.batch_streams = k;
+        seeds.push_back(members[i].request.seed);
+        fates.push_back(executor_.decide(members[i].request.seed,
+                                         members[i].request.attempt));
     }
+
+    // Quarantine every chip-fault victim's group *before* executing:
+    // release() must already know those groups are poisoned so it
+    // parks them instead of freeing them.
+    for (std::size_t i = 0; i < k; ++i) {
+        if (!fates[i].chip_fails)
+            continue;
+        const std::size_t victim =
+            scheduler_->chipsOf(lease.group(i)).first +
+            fates[i].chip_offset % options_.group_size;
+        metrics.counter("serve.quarantines").add();
+        scheduler_->markChipFailed(victim);
+        if (trace != nullptr) {
+            TraceEvent e;
+            e.name = "quarantine";
+            e.category = "faults";
+            e.pid = kServerPid;
+            e.tid = tid;
+            e.ts_us = trace->nowUs();
+            e.num_args.emplace_back("chip",
+                                    static_cast<double>(victim));
+            e.num_args.emplace_back(
+                "group", static_cast<double>(lease.group(i)));
+            e.num_args.emplace_back(
+                "rid", static_cast<double>(members[i].request.id));
+            trace->complete(std::move(e));
+        }
+    }
+
+    // Member i's stream runs on the chips of lease.group(i); its
+    // digest equals the member's run alone.
+    const auto outcomes = executor_.run(
+        members.front().request.workload, seeds, fates,
+        [&](const char *name) {
+            return batchSpan(trace, name, tid, k,
+                             members.front().request);
+        });
+
+    std::vector<Retry> retries;
+    for (std::size_t i = 0; i < k; ++i) {
+        const auto &o = outcomes[i];
+        Response &resp = members[i].response;
+        resp.sim_seconds = o.sim_seconds;
+        resp.compile_ms = o.compile_ms;
+        resp.output_hash = o.digest;
+        if (o.kind == RequestExecutor::Outcome::Completed)
+            settlement_.complete(std::move(members[i]));
+        else if (auto r = settlement_.lose(std::move(members[i]),
+                                           o.error, o.retryable,
+                                           o.chip_failed))
+            retries.push_back(std::move(*r));
+    }
+    lease.release(); // don't hold hardware through the backoff
+    backOff(std::move(retries), worker);
+}
+
+void
+Server::backOff(std::vector<Retry> retries, std::size_t worker)
+{
+    if (retries.empty())
+        return;
+    double delay_ms = 0.0;
+    for (const auto &r : retries)
+        delay_ms = std::max(delay_ms, r.delay_ms);
+    {
+        auto s = batchSpan(options_.trace ? &trace_ : nullptr,
+                           "backoff", static_cast<uint32_t>(worker),
+                           retries.size(),
+                           retries.front().attempt.request);
+        s.arg("delay_ms", delay_ms);
+        std::this_thread::sleep_for(
+            std::chrono::duration<double, std::milli>(delay_ms));
+    }
+    for (auto &r : retries)
+        settlement_.retry(std::move(r));
 }
 
 void
@@ -576,38 +326,17 @@ Server::healthProbeLoop()
 std::vector<Response>
 Server::responses() const
 {
-    std::lock_guard<std::mutex> lock(responses_mutex_);
-    return responses_;
+    return settlement_.responses();
 }
 
 ServeStats
 Server::stats() const
 {
-    std::vector<Response> resp;
-    std::size_t submitted;
-    {
-        std::lock_guard<std::mutex> lock(responses_mutex_);
-        resp = responses_;
-        submitted = submitted_;
-    }
-    double wall;
-    {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        wall = started_
-                   ? std::chrono::duration<double>(Clock::now() -
-                                                   start_time_)
-                         .count()
-                   : wall_seconds_;
-    }
-    auto s = ServeStats::fromResponses(resp, submitted,
-                                       queue_->rejected(), wall,
-                                       executor_.runnerStats(),
-                                       scheduler_->busySeconds(),
-                                       scheduler_->quarantinedMask());
+    auto s = settlement_.stats(executor_.runnerStats(),
+                               scheduler_->busySeconds(),
+                               scheduler_->quarantinedMask());
     s.plan_cache = executor_.planCache().stats();
     s.tuner_cache = executor_.tunerStats();
-    s.rejected_full = queue_->rejectedFull();
-    s.rejected_closed = queue_->rejectedClosed();
     return s;
 }
 

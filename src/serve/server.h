@@ -5,12 +5,14 @@
  * A Server owns the whole pipeline a Cinnamon deployment needs to go
  * from "request arrived" to "encrypted result + latency numbers":
  *
- *   submit() → RequestQueue (bounded, admission-controlled)
+ *   submit() → Settlement (ids, bounded RequestQueue admission)
  *            → BatchFormer (up to batch_max_streams compatible
  *              requests) → worker pool (std::thread)
  *            → ChipGroupScheduler (one exclusive chip group/member)
- *            → RequestExecutor (plan, sim timing, emulated probe)
- *            → Response (latency split, simulated time, output hash)
+ *            → RequestExecutor (plan, sim timing, emulated probe,
+ *              device dwell)
+ *            → Settlement (response row: latency split, simulated
+ *              time, output hash; retry, expiry or failure)
  *
  * There is one execution path. Every attempt is a batch: k
  * compatible requests run as one k-stream program on k chip groups,
@@ -20,7 +22,7 @@
  * cache and, at small parameter sets, the catalog probe runs
  * end-to-end — request-seeded keys, encryption, compiled ISA on the
  * functional emulator — so the serving path is continuously
- * validated, not just timed. If `time_dilation` is set, the worker
+ * validated, not just timed. If `time_dilation` is set, the attempt
  * additionally holds the batch's groups for the slowest member's
  * `sim_seconds * time_dilation` wall-clock seconds, modelling the
  * accelerator's real occupancy (the host thread waits on the
@@ -35,15 +37,15 @@
  *
  * Resilience (DESIGN.md §5c): when ServeOptions::faults enables a
  * fault schedule, attempts can suffer injected chip death, transient
- * execution errors, or link degradation. Faulted attempts are retried
- * under RetryPolicy (bounded attempts, seeded exponential backoff,
- * never past the deadline); a chip death quarantines its group and
- * aborts the batch, whose members are requeued onto healthy
- * hardware; a transient fault loses only its member's result; a
- * health probe re-admits repaired groups. Fault decisions are pure
- * functions of (fault seed, request seed, attempt), so the
- * determinism contract survives: a retried request's output hash
- * equals the unfaulted run's.
+ * execution errors, or link degradation. The Server quarantines a
+ * chip-fault victim's group before the attempt runs, and a health
+ * probe re-admits repaired groups; everything else — bounded retries
+ * with seeded backoff, never past the deadline — is the settlement
+ * policy it shares with the distributed front-end
+ * (serve/settlement.h). Its workers sleep a retry's backoff before
+ * requeueing. Fault decisions are pure functions of (fault seed,
+ * request seed, attempt), so the determinism contract survives: a
+ * retried request's output hash equals the unfaulted run's.
  */
 
 #ifndef CINNAMON_SERVE_SERVER_H_
@@ -58,29 +60,11 @@
 #include "faults/fault_plan.h"
 #include "serve/batcher.h"
 #include "serve/executor.h"
-#include "serve/queue.h"
 #include "serve/scheduler.h"
+#include "serve/settlement.h"
 #include "serve/stats.h"
 
 namespace cinnamon::serve {
-
-/**
- * Bounded, deadline-aware retry for faulted attempts. Backoff is
- * exponential with jitter drawn from the request seed (a pure
- * function of (seed, attempt) — reproducible run to run), and a
- * retry is scheduled only if its backoff still fits inside the
- * request's deadline: the runtime never retries past the deadline.
- */
-struct RetryPolicy
-{
-    /** Total execution attempts per request (1 = no retries). */
-    std::size_t max_attempts = 3;
-    double backoff_base_ms = 1.0; ///< delay before the first retry
-    double backoff_mult = 2.0;    ///< growth per attempt
-    double backoff_max_ms = 50.0; ///< cap on the pre-jitter delay
-    /** Jitter width: the delay is scaled by [1 - j/2, 1 + j/2). */
-    double backoff_jitter = 0.5;
-};
 
 /** Deployment shape of one serving replica. */
 struct ServeOptions
@@ -209,12 +193,18 @@ class Server
     void batchedWorkerLoop(std::size_t worker);
 
     /**
-     * Serve one batch attempt: lease one chip group per member,
-     * quarantine chip-fault victims, execute through the
-     * RequestExecutor, dwell, and settle every member's response
-     * (completed, expired, failed, or retried).
+     * Serve one batch attempt: lease one chip group per member (the
+     * surplus goes back to the queue), quarantine chip-fault victims,
+     * run the attempt through the RequestExecutor, and settle every
+     * member, sleeping one shared backoff before any retries.
      */
     void processBatch(std::vector<Request> batch, std::size_t worker);
+
+    /**
+     * Sleep the longest of the retries' backoffs once — the members
+     * shared one attempt, they share one backoff — then requeue them.
+     */
+    void backOff(std::vector<Retry> retries, std::size_t worker);
 
     /**
      * Health-probe loop: periodically re-admits quarantined groups
@@ -225,7 +215,8 @@ class Server
     ServeOptions options_;
     /** Plan choice, sim timing, and the probe; shared by workers. */
     RequestExecutor executor_;
-    std::unique_ptr<RequestQueue> queue_;
+    /** Admission, the queue, and every response row. */
+    Settlement settlement_;
     std::unique_ptr<BatchFormer> batcher_;
     std::unique_ptr<ChipGroupScheduler> scheduler_;
 
@@ -237,20 +228,6 @@ class Server
     std::mutex probe_mutex_;
     std::condition_variable probe_cv_;
     bool probe_stop_ = false;
-
-    /**
-     * Guards the run lifecycle fields below: stats() reads them from
-     * arbitrary threads while start()/drainAndStop() write them.
-     */
-    mutable std::mutex state_mutex_;
-    bool started_ = false;
-    Clock::time_point start_time_{};
-    double wall_seconds_ = 0.0; ///< fixed at drainAndStop
-
-    mutable std::mutex responses_mutex_;
-    std::vector<Response> responses_;
-    std::size_t submitted_ = 0;
-    uint64_t next_id_ = 1;
 };
 
 } // namespace cinnamon::serve

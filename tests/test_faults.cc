@@ -176,10 +176,10 @@ TEST(Scheduler, QuarantineThenReadmitRoundTrip)
     EXPECT_EQ(sched.quarantinesTotal(), 1u);
 
     // Only the healthy group is leasable.
-    auto lease = sched.tryAcquire();
+    auto lease = sched.acquire();
     ASSERT_TRUE(lease.held());
     EXPECT_EQ(lease.group(), 0u);
-    EXPECT_FALSE(sched.tryAcquire().held());
+    EXPECT_FALSE(sched.tryAcquireGroup(1).held());
     lease.release();
 
     // Readmission restores the full machine: group 1 leases again
@@ -188,8 +188,8 @@ TEST(Scheduler, QuarantineThenReadmitRoundTrip)
     EXPECT_FALSE(sched.isQuarantined(1));
     EXPECT_TRUE(sched.failedChips().empty());
     EXPECT_EQ(sched.readmissionsTotal(), 1u);
-    auto l0 = sched.tryAcquire();
-    auto l1 = sched.tryAcquire();
+    auto l0 = sched.acquire();
+    auto l1 = sched.acquire();
     EXPECT_TRUE(l0.held());
     EXPECT_TRUE(l1.held());
     EXPECT_NE(l0.group(), l1.group());
@@ -206,10 +206,10 @@ TEST(Scheduler, QuarantineWhileLeasedParksOnRelease)
     lease.release();
     // Release parked the group instead of freeing it: only group 1
     // remains leasable.
-    auto next = sched.tryAcquire();
+    auto next = sched.acquire();
     ASSERT_TRUE(next.held());
     EXPECT_EQ(next.group(), 1u);
-    EXPECT_FALSE(sched.tryAcquire().held());
+    EXPECT_FALSE(sched.tryAcquireGroup(0).held());
 }
 
 TEST(Scheduler, AcquireThrowsWhenEveryGroupQuarantined)

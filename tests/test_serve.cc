@@ -12,9 +12,11 @@
 
 #include <atomic>
 #include <map>
+#include <optional>
 #include <set>
 #include <thread>
 
+#include "common/metrics.h"
 #include "compiler/strategy.h"
 #include "exec/backend.h"
 #include "fhe/encoder.h"
@@ -67,9 +69,9 @@ traceWorkload(std::size_t i)
     }
 }
 
-/** Simulated seconds one keyswitch request takes on this context. */
+/** Simulated seconds one request of `workload` takes here. */
 double
-measureKeyswitchSeconds()
+measureSeconds(Workload workload)
 {
     ServeOptions opt;
     opt.chips = 4;
@@ -79,7 +81,7 @@ measureKeyswitchSeconds()
     opt.time_dilation = 0.0;
     Server server(serveContext(), opt);
     server.start();
-    EXPECT_TRUE(server.submit(Workload::Keyswitch, 1));
+    EXPECT_TRUE(server.submit(workload, 1));
     server.drainAndStop();
     return server.stats().sim_seconds_total;
 }
@@ -95,11 +97,15 @@ completedHashes(const Server &server)
 }
 
 /**
- * popFor's wait in the Queue cases: it returns at once when a request
- * is queued or the queue is closed and drained, so this only bounds
- * a broken queue.
+ * Pop the oldest request as a batch of one, the way a consumer at
+ * width 1 does; empty once the queue is closed and drained. Blocks
+ * while the queue is open and empty.
  */
-constexpr double kPopWaitMs = 1000.0;
+std::vector<Request>
+popOne(RequestQueue &q)
+{
+    return q.popBatch(1, 0.0, &BatchFormer::compatible);
+}
 
 } // namespace
 
@@ -124,7 +130,7 @@ TEST(Queue, SaturationRejectsWithBackpressure)
     EXPECT_EQ(q.size(), 4u);
 
     // Draining one slot re-opens admission — no deadlock, no loss.
-    ASSERT_TRUE(q.popFor(kPopWaitMs).has_value());
+    ASSERT_EQ(popOne(q).size(), 1u);
     EXPECT_TRUE(q.submit(Request{}));
 }
 
@@ -135,10 +141,10 @@ TEST(Queue, CloseDrainsPendingThenStops)
     ASSERT_TRUE(q.submit(Request{}));
     q.close();
     EXPECT_FALSE(q.submit(Request{})); // closed: admission rejects
-    EXPECT_TRUE(q.popFor(kPopWaitMs).has_value());
-    EXPECT_TRUE(q.popFor(kPopWaitMs).has_value());
+    EXPECT_EQ(popOne(q).size(), 1u);
+    EXPECT_EQ(popOne(q).size(), 1u);
     // Closed + drained.
-    EXPECT_FALSE(q.popFor(kPopWaitMs).has_value());
+    EXPECT_TRUE(popOne(q).empty());
 }
 
 TEST(Scheduler, GroupsNeverOversubscribeChips)
@@ -193,7 +199,7 @@ TEST(Scheduler, SerialLeasesRotateThroughEveryGroup)
     ChipGroupScheduler sched(12, 4);
     std::vector<std::size_t> order;
     for (int i = 0; i < 6; ++i) {
-        GroupLease lease = i % 2 == 0 ? sched.acquire() : sched.tryAcquire();
+        GroupLease lease = sched.acquire();
         order.push_back(lease.group());
     }
     EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 0, 1, 2}));
@@ -202,19 +208,6 @@ TEST(Scheduler, SerialLeasesRotateThroughEveryGroup)
         EXPECT_EQ(batch.groups(), (std::vector<std::size_t>{0, 1}));
     }
     EXPECT_EQ(sched.acquire().group(), 2u);
-}
-
-TEST(Scheduler, TryAcquireRespectsCapacity)
-{
-    ChipGroupScheduler sched(8, 4);
-    GroupLease a = sched.tryAcquire();
-    GroupLease b = sched.tryAcquire();
-    ASSERT_TRUE(a.held());
-    ASSERT_TRUE(b.held());
-    EXPECT_NE(a.group(), b.group());
-    EXPECT_FALSE(sched.tryAcquire().held()); // machine fully leased
-    a.release();
-    EXPECT_TRUE(sched.tryAcquire().held());
 }
 
 TEST(Scheduler, ChipRangesPartitionTheMachine)
@@ -333,7 +326,7 @@ TEST(Server, DeadlineExpiresWhileWaitingForGroup)
     // its budget waiting for a chip group must be shed after the lease
     // is acquired, not run. One group, two workers: the first request
     // dwells on the only group while the second waits in acquire.
-    const double ks_seconds = measureKeyswitchSeconds();
+    const double ks_seconds = measureSeconds(Workload::Keyswitch);
     ASSERT_GT(ks_seconds, 0.0);
 
     ServeOptions opt;
@@ -363,6 +356,71 @@ TEST(Server, DeadlineExpiresWhileWaitingForGroup)
             EXPECT_GT(r.service_ms, r.queue_ms);
             EXPECT_GT(r.total_ms, 100.0);
         }
+}
+
+TEST(Server, HandedBackMemberCountsItsWholeWait)
+{
+    // A batch member whose lease got fewer groups than members goes
+    // back to the queue without a new attempt, keeping its admission
+    // stamp: its row's total_ms must cover the wall time from its
+    // submit to the row. Two groups, three workers: a ResNet and a
+    // shorter HELR dwell hold both groups while a keyswitch pair
+    // waits in acquireUpTo(2). The HELR group frees first, the pair's
+    // lease gets only it, and the second member is handed back.
+    const double resnet_s = measureSeconds(Workload::ResNet);
+    const double helr_s = measureSeconds(Workload::Helr);
+    ASSERT_GT(resnet_s, 1.5 * helr_s);
+
+    ServeOptions opt = smallOptions();
+    opt.workers = 3;
+    opt.emulate = false;
+    opt.batch_max_streams = 2;
+    opt.batch_linger_ms = 10.0;
+    opt.time_dilation = 0.6 / resnet_s; // ~600 ms and ~300 ms dwells
+    Server server(serveContext(), opt);
+    server.start();
+
+    auto &occupancy =
+        MetricsRegistry::global().histogram("serve.batch_occupancy");
+    const auto formed_before = occupancy.snapshot();
+    using std::chrono::milliseconds;
+    ASSERT_TRUE(server.submit(Workload::ResNet, 1)); // id 1, group 0
+    std::this_thread::sleep_for(milliseconds(40));
+    ASSERT_TRUE(server.submit(Workload::Helr, 2)); // id 2, group 1
+    std::this_thread::sleep_for(milliseconds(40));
+    ASSERT_TRUE(server.submit(Workload::Keyswitch, 3)); // id 3
+    const auto submitted = Clock::now();
+    ASSERT_TRUE(server.submit(Workload::Keyswitch, 4)); // id 4
+
+    // Poll for the handed-back member's row.
+    std::optional<Response> row;
+    Clock::time_point seen;
+    while (!row && msSince(submitted) < 10000.0) {
+        for (const auto &r : server.responses())
+            if (r.id == 4 && r.status == RequestStatus::Completed)
+                row = r;
+        seen = Clock::now();
+        if (!row)
+            std::this_thread::sleep_for(milliseconds(1));
+    }
+    server.drainAndStop();
+    ASSERT_TRUE(row.has_value()) << "request 4 never completed";
+
+    // The pair formed one batch of two (4 batches, 5 members), yet
+    // no row ran two wide: one member was handed back.
+    const auto formed_after = occupancy.snapshot();
+    ASSERT_EQ(formed_after.count - formed_before.count, 4u);
+    ASSERT_DOUBLE_EQ(formed_after.sum - formed_before.sum, 5.0);
+    for (const auto &r : server.responses())
+        EXPECT_EQ(r.batch_streams, 1u) << "request " << r.id;
+
+    const double wall_ms =
+        std::chrono::duration<double, std::milli>(seen - submitted)
+            .count();
+    EXPECT_GT(wall_ms, 150.0) << "the pair waited for the HELR dwell";
+    EXPECT_DOUBLE_EQ(row->total_ms, row->queue_ms + row->service_ms);
+    EXPECT_GE(row->total_ms, wall_ms - 25.0)
+        << "the row must count the wait before the hand-back";
 }
 
 TEST(Server, StatsConcurrentWithShutdown)
@@ -519,53 +577,51 @@ TEST(Queue, RequeuePreservesTheDeadlineAnchor)
     r.deadline = std::chrono::milliseconds(500);
     ASSERT_TRUE(queue.submit(r));
 
-    auto popped = queue.popFor(kPopWaitMs);
-    ASSERT_TRUE(popped.has_value());
-    const auto born = popped->born;
+    auto popped = popOne(queue);
+    ASSERT_EQ(popped.size(), 1u);
+    const auto born = popped[0].born;
     ASSERT_NE(born, Clock::time_point{}) << "submit must stamp born";
-    const auto first_admitted = popped->admitted;
+    const auto first_admitted = popped[0].admitted;
 
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    Request retry = *popped;
+    Request retry = popped[0];
     ++retry.attempt;
     queue.requeue(std::move(retry));
 
-    auto again = queue.popFor(kPopWaitMs);
-    ASSERT_TRUE(again.has_value());
+    auto again = popOne(queue);
+    ASSERT_EQ(again.size(), 1u);
     // `born` is the cross-attempt anchor: bit-identical after requeue.
-    EXPECT_EQ(again->born, born);
-    // `admitted` is per-attempt: restamped at requeue time.
-    EXPECT_GT(again->admitted, first_admitted);
+    EXPECT_EQ(again[0].born, born);
+    // `admitted` is the caller's to stamp (settlement restamps it for
+    // a retry, keeps it for a hand-back): requeue keeps it.
+    EXPECT_EQ(again[0].admitted, first_admitted);
     // The budget already spent was not refunded.
     const double consumed_ms =
         std::chrono::duration<double, std::milli>(Clock::now() -
-                                                  again->born)
+                                                  again[0].born)
             .count();
     EXPECT_GE(consumed_ms, 20.0);
 }
 
-TEST(Queue, PopForTimesOutWhileOpenAndDrainsAfterClose)
+TEST(Queue, ClosedQueueStillDrainsARequeue)
 {
     RequestQueue queue(4);
-    // Open + empty: popFor returns nullopt after the timeout instead
-    // of blocking forever (the remote dispatcher's liveness tick).
-    EXPECT_FALSE(queue.popFor(5.0).has_value());
-
     Request r;
     r.id = 1;
     ASSERT_TRUE(queue.submit(r));
-    auto popped = queue.popFor(5.0);
-    ASSERT_TRUE(popped.has_value());
+    auto popped = popOne(queue);
+    ASSERT_EQ(popped.size(), 1u);
 
     // Closed + empty still accepts a requeue and drains it: close()
     // only stops *new* work; in-flight retries must not be stranded.
     queue.close();
-    Request retry = *popped;
+    Request retry = popped[0];
     ++retry.attempt;
     EXPECT_TRUE(queue.requeue(std::move(retry)));
-    auto drained = queue.popFor(5.0);
-    ASSERT_TRUE(drained.has_value());
-    EXPECT_EQ(drained->attempt, 1u);
+    auto drained = popOne(queue);
+    ASSERT_EQ(drained.size(), 1u);
+    EXPECT_EQ(drained[0].attempt, 1u);
+    EXPECT_TRUE(popOne(queue).empty());
 }
 
 TEST(Queue, SealRefusesRequeueSoCallersFinalizeAsFailed)
@@ -579,13 +635,13 @@ TEST(Queue, SealRefusesRequeueSoCallersFinalizeAsFailed)
     Request r;
     r.id = 1;
     ASSERT_TRUE(queue.submit(r));
-    auto popped = queue.popFor(kPopWaitMs);
-    ASSERT_TRUE(popped.has_value());
+    auto popped = popOne(queue);
+    ASSERT_EQ(popped.size(), 1u);
 
     queue.seal();
     EXPECT_TRUE(queue.closed());
     EXPECT_TRUE(queue.sealed());
-    Request retry = *popped;
+    Request retry = popped[0];
     ++retry.attempt;
     const std::size_t closed_before = queue.rejectedClosed();
     EXPECT_FALSE(queue.requeue(std::move(retry)))
@@ -1010,6 +1066,117 @@ TEST(RemoteServing, BatchedLoopbackBitIdenticalToInProcessUnbatched)
     EXPECT_EQ(stats.completed + stats.rejected + stats.expired +
                   stats.failed,
               stats.submitted);
+}
+
+TEST(RemoteServing, FaultedLoopbackSettlesLikeInProcess)
+{
+    // Both faces settle through one module: under the same
+    // transient-only fault schedule, every request must reach the
+    // same final status after the same number of Retried rows, with
+    // the same digest, in-process and over loopback, at widths 1 and
+    // 2 — and each face books the completion metrics once per
+    // Completed row.
+    constexpr std::size_t kRequests = 8;
+    faults::FaultConfig faults;
+    faults.seed = 3;
+    faults.transient_p = 0.3;
+    RetryPolicy retry;
+    retry.backoff_base_ms = 0.1; // keep test retries fast
+    retry.backoff_max_ms = 1.0;
+
+    struct Fate
+    {
+        RequestStatus status = RequestStatus::Completed;
+        std::size_t retried = 0;
+        uint64_t digest = 0;
+        bool operator==(const Fate &) const = default;
+    };
+    struct Booked
+    {
+        double completed;
+        std::size_t compiles;
+    };
+    const auto booked = [] {
+        auto &metrics = MetricsRegistry::global();
+        return Booked{
+            metrics.counter("serve.requests.completed").value(),
+            metrics.histogram("serve.compile_ms").snapshot().count};
+    };
+    // Per-id fates, after checking the rows and the registry deltas.
+    const auto settle = [](const std::vector<Response> &rows,
+                           const Booked &before, const Booked &after,
+                           const char *face) {
+        std::map<uint64_t, Fate> fates;
+        std::size_t completed = 0;
+        for (const auto &r : rows) {
+            Fate &f = fates[r.id];
+            if (r.status == RequestStatus::Retried) {
+                ++f.retried;
+                EXPECT_DOUBLE_EQ(r.total_ms, r.queue_ms + r.service_ms)
+                    << face << ": retried row of request " << r.id;
+                continue;
+            }
+            f.status = r.status;
+            f.digest = r.output_hash;
+            completed += r.status == RequestStatus::Completed;
+        }
+        EXPECT_EQ(after.completed - before.completed,
+                  static_cast<double>(completed))
+            << face;
+        EXPECT_EQ(after.compiles - before.compiles, completed) << face;
+        return fates;
+    };
+
+    for (const std::size_t width : {1ul, 2ul}) {
+        ServeOptions opt = smallOptions();
+        opt.faults = faults;
+        opt.retry = retry;
+        opt.batch_max_streams = width;
+        opt.batch_linger_ms = 5.0;
+        Server local(serveContext(), opt);
+        auto before = booked();
+        local.start();
+        for (std::size_t i = 0; i < kRequests; ++i)
+            ASSERT_TRUE(local.submit(Workload::Keyswitch, 9700 + i));
+        local.drainAndStop();
+        const auto expected =
+            settle(local.responses(), before, booked(), "in-process");
+
+        remote::FrontEndOptions fe_opt;
+        fe_opt.workers = 2;
+        fe_opt.group_size = 4;
+        fe_opt.retry = retry;
+        fe_opt.batch_max_streams = width;
+        fe_opt.batch_linger_ms = 5.0;
+        remote::RemoteFrontEnd frontend(fe_opt);
+        ASSERT_TRUE(frontend.start());
+        std::vector<std::thread> workers;
+        for (uint64_t w = 0; w < 2; ++w)
+            workers.emplace_back([&frontend, &faults, w] {
+                remote::WorkerOptions opt;
+                opt.port = frontend.port();
+                opt.worker_id = w;
+                opt.group_size = 4;
+                opt.faults = faults;
+                remote::runWorker(serveContext(), opt);
+            });
+        ASSERT_TRUE(frontend.waitForWorkers(2));
+        before = booked();
+        for (std::size_t i = 0; i < kRequests; ++i)
+            ASSERT_TRUE(frontend.submit(Workload::Keyswitch, 9700 + i));
+        frontend.drainAndStop();
+        for (auto &t : workers)
+            t.join();
+        const auto got = settle(frontend.responses(), before, booked(),
+                                "loopback");
+
+        ASSERT_EQ(expected.size(), kRequests);
+        std::size_t retried = 0;
+        for (const auto &[id, fate] : expected)
+            retried += fate.retried;
+        EXPECT_GT(retried, 0u) << "the schedule must exercise retries";
+        EXPECT_TRUE(got == expected) << "width " << width;
+    }
 }
 
 TEST(RemoteServing, VersionMismatchedWorkerIsRejectedWithReason)
