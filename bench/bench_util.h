@@ -16,10 +16,13 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 
+#include "common/task_pool.h"
 #include "compiler/lowering.h"
 #include "compiler/strategy.h"
 #include "fhe/params.h"
+#include "rns/kernels.h"
 #include "sim/hardware.h"
 #include "sim/simulator.h"
 
@@ -43,6 +46,26 @@ cinnamonHw(std::size_t chips)
     hw.topology = chips > 8 ? sim::Topology::Switch
                             : sim::Topology::Ring;
     return hw;
+}
+
+/**
+ * The machine shape a measurement was taken on, as JSON members
+ * without braces: "nproc", "pool_workers" (the shared TaskPool's
+ * parallelism) and "avx512_ifma". Baselines record it, so a speed-up
+ * is only compared against one taken on a machine of the same shape.
+ */
+inline std::string
+machineShapeFields()
+{
+    char out[96];
+    std::snprintf(out, sizeof(out),
+                  "\"nproc\": %u, \"pool_workers\": %zu, "
+                  "\"avx512_ifma\": %s",
+                  std::thread::hardware_concurrency(),
+                  TaskPool::global().parallelism(),
+                  rns::avx512KernelTable() != nullptr ? "true"
+                                                      : "false");
+    return out;
 }
 
 inline void

@@ -5,16 +5,17 @@
  * Compiles a multi-stream bootstrap program twice — once with the
  * worker pool disabled (compile_workers = 1) and once on the whole
  * shared TaskPool (compile_workers = 0) — and prints one JSON
- * object per line with the wall-clock numbers. The limb-lowering and
- * register-allocation passes parallelize over independent stream
- * units / chips, so the parallel run should show a measurable
- * wall-time reduction while producing a byte-identical program (the
- * equivalence itself is asserted by tests/test_pipeline.cc; this
- * binary only times it).
+ * object per line with the wall-clock numbers. Limb lowering
+ * parallelizes over independent stream units, and ISA emission,
+ * register allocation and the preload table over chips, so the
+ * parallel run should show a measurable wall-time reduction while
+ * producing a byte-identical program (the equivalence itself is
+ * asserted by tests/test_pipeline.cc; this binary only times it).
  *
  * `paper_ms` times the paper-scale shape perfbench's compile_paper
  * exercises: a cold compile of the N = 64K bootstrap kernel on
- * Cinnamon-4 (best of `reps`).
+ * Cinnamon-4 (best of `reps`). The object also records the machine
+ * shape (nproc, pool workers, IFMA).
  *
  *   build/bench/compile_time [streams] [reps]
  */
@@ -25,7 +26,6 @@
 #include <limits>
 
 #include "bench_util.h"
-#include "common/task_pool.h"
 #include "compiler/dsl.h"
 #include "compiler/lowering.h"
 #include "fhe/params.h"
@@ -120,11 +120,11 @@ main(int argc, char **argv)
     std::printf("{\"benchmark\":\"compile_time\","
                 "\"program\":\"bootstrap_x%zu\","
                 "\"ops\":%zu,\"chips\":%zu,\"streams\":%zu,"
-                "\"hw_workers\":%zu,\"reps\":%d,"
+                "%s,\"reps\":%d,"
                 "\"serial_ms\":%.3f,\"parallel_ms\":%.3f,"
                 "\"speedup\":%.3f,\"paper_ms\":%.3f}\n",
                 streams, prog.ops().size(), 2 * streams, streams,
-                TaskPool::global().parallelism(), reps, serial_ms,
+                bench::machineShapeFields().c_str(), reps, serial_ms,
                 parallel_ms, serial_ms / parallel_ms, paper_ms);
     return 0;
 }

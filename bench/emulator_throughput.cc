@@ -9,7 +9,10 @@
  * and pooled (workers = the shared TaskPool's parallelism) — and the
  * ratio is booked into the emulator.parallel_speedup gauge; the two
  * runs are also checked to produce identical output digests, so the
- * benchmark doubles as a quick determinism smoke test.
+ * benchmark doubles as a quick determinism smoke test. Every row
+ * carries the machine shape (nproc, pool workers, IFMA), so
+ * scripts/check_bench.py gates parallel_speedup between like
+ * machines only.
  *
  *   build/bench/emulator_throughput [reps]
  *
@@ -23,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "bench_util.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/task_pool.h"
@@ -70,6 +74,7 @@ main(int argc, char **argv)
 {
     const int base_reps = argc > 1 ? std::atoi(argv[1]) : 4;
     const std::size_t pool_workers = TaskPool::global().parallelism();
+    const std::string shape = bench::machineShapeFields();
     std::printf("[\n");
     bool first = true;
     for (std::size_t logn : {12u, 13u, 14u, 15u}) {
@@ -120,12 +125,12 @@ main(int argc, char **argv)
                 "%s  {\"variant\": \"after\", \"n\": %zu, "
                 "\"chips\": %zu, \"limb_ops\": %.0f, "
                 "\"wall_ms\": %.2f, \"limb_ops_per_s\": %.0f, "
-                "\"pool_wall_ms\": %.2f, \"pool_workers\": %zu, "
+                "\"pool_wall_ms\": %.2f, %s, "
                 "\"parallel_speedup\": %.2f, \"digest\": \"%016llx\"}",
                 first ? "" : ",\n", n, chips, serial.limb_ops,
                 serial.wall_ms,
                 serial.limb_ops / (serial.wall_ms / 1e3),
-                pooled.wall_ms, pool_workers, speedup,
+                pooled.wall_ms, shape.c_str(), speedup,
                 static_cast<unsigned long long>(serial.digest));
             first = false;
             std::fflush(stdout);

@@ -8,7 +8,12 @@ noise, tight enough to catch a real slowdown).
 
   emulator_throughput.json  JSON array; entries matched on (variant,
                             n, chips); higher-is-better metric
-                            `limb_ops_per_s`.
+                            `limb_ops_per_s`, and higher-is-better
+                            `parallel_speedup` only against a
+                            baseline entry of the same machine shape
+                            (`nproc`, `pool_workers`, `avx512_ifma`):
+                            a pool speed-up measured on another shape
+                            says nothing about this one.
   compile_time.json         single JSON object; lower-is-better
                             metrics `serial_ms`, `parallel_ms` and
                             `paper_ms` (a cold compile of the
@@ -66,6 +71,41 @@ def fmt_key(key):
     return f"{variant} n={n} chips={chips}"
 
 
+SHAPE_FIELDS = ("nproc", "pool_workers", "avx512_ifma")
+
+
+def machine_shape(entry):
+    """The machine shape an entry was measured on (None if unset)."""
+    return tuple(entry.get(f) for f in SHAPE_FIELDS)
+
+
+def fmt_shape(shape):
+    return " ".join(f"{f}={v}" for f, v in zip(SHAPE_FIELDS, shape))
+
+
+def check_speedup(key, entry, base, threshold, failures):
+    """Higher-is-better pool speed-up, between like machines only."""
+    shape = machine_shape(entry)
+    if shape != machine_shape(base):
+        print(f"  [skip] emulator_throughput {fmt_key(key)} "
+              f"parallel_speedup: baseline shape "
+              f"{fmt_shape(machine_shape(base))}, current "
+              f"{fmt_shape(shape)}")
+        return
+    cur = entry["parallel_speedup"]
+    ref = base["parallel_speedup"]
+    loss = ref / cur - 1.0 if cur > 0 else float("inf")
+    status = "FAIL" if loss > threshold else "ok"
+    print(f"  [{status}] emulator_throughput {fmt_key(key)} "
+          f"parallel_speedup: {cur:.2f}x vs baseline {ref:.2f}x "
+          f"({fmt_shape(shape)})")
+    if loss > threshold:
+        failures.append(
+            f"emulator_throughput {fmt_key(key)} parallel_speedup "
+            f"{cur:.2f}x fell {loss:.1%} below baseline {ref:.2f}x "
+            f"(> {threshold:.0%})")
+
+
 def check_throughput(current, baseline, threshold, failures):
     """Higher-is-better: fail when baseline/current - 1 > threshold."""
     base_by_key = {throughput_key(e): e for e in baseline}
@@ -92,6 +132,7 @@ def check_throughput(current, baseline, threshold, failures):
             failures.append(
                 f"emulator_throughput {fmt_key(key)} regressed "
                 f"{slowdown:.1%} (> {threshold:.0%})")
+        check_speedup(key, entry, base, threshold, failures)
     for key in base_by_key:
         if key not in {throughput_key(e) for e in current}:
             failures.append(

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include <pthread.h>
+#include <sched.h>
+#include <unistd.h>
+
 #include "common/logging.h"
 #include "common/metrics.h"
 
@@ -20,6 +24,7 @@ struct PoolMetrics
     Counter &chunks_stolen;
     Gauge &queue_depth;
     Gauge &workers;
+    Gauge &workers_bound;
 };
 
 /** Registry lookups lock a map; resolve the instruments once. */
@@ -33,8 +38,45 @@ poolMetrics()
         MetricsRegistry::global().counter("pool.chunks_stolen"),
         MetricsRegistry::global().gauge("pool.queue_depth"),
         MetricsRegistry::global().gauge("pool.workers"),
+        MetricsRegistry::global().gauge("pool.workers_bound"),
     };
     return m;
+}
+
+/**
+ * The CPUs `workers` new pool threads are bound to: the process
+ * mask's CPUs other than the calling (spawning) thread's current one,
+ * ascending, when there is one for every worker; otherwise none, and
+ * the workers keep the mask they inherit.
+ */
+std::vector<int>
+bindingCpus(std::size_t workers)
+{
+    std::vector<int> cpus;
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (workers == 0 ||
+        sched_getaffinity(getpid(), sizeof(mask), &mask) != 0)
+        return cpus;
+    const int self = sched_getcpu();
+    for (int c = 0; c < CPU_SETSIZE && cpus.size() < workers; ++c) {
+        if (c != self && CPU_ISSET(c, &mask))
+            cpus.push_back(c);
+    }
+    if (cpus.size() < workers)
+        cpus.clear();
+    return cpus;
+}
+
+/** Bind `thread` to `cpu`; false if the kernel refused. */
+bool
+bindToCpu(std::thread &thread, int cpu)
+{
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    return pthread_setaffinity_np(thread.native_handle(), sizeof(one),
+                                  &one) == 0;
 }
 
 } // namespace
@@ -82,10 +124,16 @@ TaskPool::onWorkerThread() const
 void
 TaskPool::spawn(std::size_t threads)
 {
+    const std::vector<int> cpus = bindingCpus(threads);
+    std::size_t bound = 0;
     threads_.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t)
+    for (std::size_t t = 0; t < threads; ++t) {
         threads_.emplace_back([this] { workerLoop(); });
+        if (!cpus.empty())
+            bound += bindToCpu(threads_.back(), cpus[t]);
+    }
     poolMetrics().workers.set(static_cast<double>(parallelism()));
+    poolMetrics().workers_bound.set(static_cast<double>(bound));
 }
 
 void

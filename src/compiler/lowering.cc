@@ -8,6 +8,7 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/task_pool.h"
 #include "compiler/limb_ir.h"
 #include "compiler/pass.h"
 #include "compiler/poly_ir.h"
@@ -22,17 +23,27 @@ namespace {
 using isa::Instruction;
 using isa::Opcode;
 
+/** One op of a chip's stream: its index in the unit, and its tag. */
+struct ChipOp
+{
+    uint32_t op = 0;
+    uint64_t tag = 0; ///< rendezvous tag of a collective, else 0
+};
+
 /**
- * Pass "lower-isa": walk the limb units in stream order and emit one
- * ISA instruction stream per chip. This stage is serial and owns
- * everything global: memory-address assignment (descriptors dedup by
- * value across units), collective rendezvous tags, and per-chip
- * virtual register numbering — which is why serial and parallel limb
- * lowering produce byte-identical machine programs.
+ * Pass "lower-isa": one ISA instruction stream per chip.
  *
- * Emission is presized: one counting pass reserves every chip's
- * stream, and each instruction is built in place with its sources
- * sized once.
+ * A serial pre-pass walks the limb units in stream order and fixes
+ * everything global: memory addresses (descriptors dedup by value
+ * across units), collective rendezvous tags in op order, and each
+ * chip's list of the ops it executes (a collective is in the list of
+ * every participant). Units share no chips, so the chips' streams
+ * are then emitted independently on the TaskPool. Virtual registers
+ * are numbered per chip in op order, so the machine program is
+ * byte-identical at any worker count and to a serial walk of the
+ * units. Each chip sizes its stream and operand pools once and
+ * builds every record in place; nothing is allocated per
+ * instruction.
  */
 void
 lowerIsaPass(PassContext &pcx)
@@ -42,108 +53,53 @@ lowerIsaPass(PassContext &pcx)
 
     CompiledProgram out;
     out.machine.chips.resize(cfg.chips);
-    std::vector<std::size_t> count(cfg.chips, 0);
-    for (const LimbUnit &unit : limb.units) {
-        for (const LimbOp &op : unit.ops) {
-            if (!op.collective()) {
-                ++count[op.chip];
-                continue;
-            }
-            for (uint32_t c = op.part_lo; c < op.part_hi; ++c)
-                ++count[c];
-        }
-    }
-    for (std::size_t c = 0; c < cfg.chips; ++c)
-        out.machine.chips[c].instrs.reserve(count[c]);
 
-    std::vector<int> nreg(cfg.chips, 0);
+    const std::size_t units = limb.units.size();
+    std::vector<std::vector<uint64_t>> addr(units);
+    std::vector<std::vector<int>> vreg(units);
+    std::vector<std::vector<ChipOp>> chip_ops(cfg.chips);
+    std::vector<uint32_t> unit_of(cfg.chips, 0);
     uint64_t next_tag = 1;
     uint64_t next_addr = 1;
     DescMap<uint64_t> addr_of;
 
-    auto newReg = [&](uint32_t chip) { return nreg[chip]++; };
-    auto emit = [&](uint32_t chip) -> Instruction & {
-        return out.machine.chips[chip].instrs.emplace_back();
-    };
-
-    for (std::size_t u = 0; u < limb.units.size(); ++u) {
+    for (std::size_t u = 0; u < units; ++u) {
         const LimbUnit &unit = limb.units[u];
+        const uint32_t chip_hi = std::min<uint32_t>(
+            unit.chip_hi, static_cast<uint32_t>(cfg.chips));
+        for (uint32_t c = unit.chip_lo; c < chip_hi; ++c)
+            unit_of[c] = static_cast<uint32_t>(u);
         // Global addresses for this unit's descriptors. A unit's own
         // descriptors are distinct, so only earlier units' entries
         // are looked up, and only a later unit needs new ones.
-        const bool later = u + 1 < limb.units.size();
-        std::vector<uint64_t> addr(unit.descs.size());
+        const bool later = u + 1 < units;
+        addr[u].resize(unit.descs.size());
         for (std::size_t d = 0; d < unit.descs.size(); ++d) {
             const DataDescriptor &desc = unit.descs[d];
             const auto it =
                 addr_of.empty() ? addr_of.end() : addr_of.find(desc);
             if (it != addr_of.end()) {
-                addr[d] = it->second;
+                addr[u][d] = it->second;
                 continue;
             }
-            addr[d] = next_addr;
+            addr[u][d] = next_addr;
             if (later)
                 addr_of.emplace(desc, next_addr);
             out.data.emplace_hint(out.data.end(), next_addr++, desc);
         }
 
-        std::vector<int> vreg(unit.values.size(), -1);
-        auto regOf = [&](int value) {
-            CINN_ASSERT(value >= 0 && vreg[value] >= 0,
-                        "limb value %" << value
-                                       << " used before definition");
-            return vreg[value];
-        };
-
-        for (const LimbOp &op : unit.ops) {
-            if (op.collective()) {
-                const uint64_t tag = next_tag++;
-                const uint32_t owner = static_cast<uint32_t>(op.imm);
-                const auto coll = unit.coll(op);
-                for (uint32_t c = op.part_lo; c < op.part_hi; ++c) {
-                    Instruction &ins = emit(c);
-                    ins.op = op.op;
-                    ins.prime = op.prime;
-                    ins.tag = tag;
-                    ins.part_lo = op.part_lo;
-                    ins.part_hi = op.part_hi;
-                    if (op.op == Opcode::Bcast) {
-                        ins.imm = owner;
-                        if (c == owner)
-                            ins.srcs.assign(1, regOf(unit.args(op)[0]));
-                        const int dv = coll[c - op.part_lo];
-                        if (dv >= 0) {
-                            ins.dst = newReg(c);
-                            vreg[dv] = ins.dst;
-                        }
-                    } else { // Agg
-                        ins.srcs.assign(1, regOf(coll[c - op.part_lo]));
-                        if (c == owner) {
-                            ins.dst = newReg(c);
-                            vreg[op.result] = ins.dst;
-                        }
-                    }
-                }
+        for (std::size_t i = 0; i < unit.ops.size(); ++i) {
+            const LimbOp &op = unit.ops[i];
+            const uint32_t idx = static_cast<uint32_t>(i);
+            if (!op.collective()) {
+                chip_ops[op.chip].push_back({idx, 0});
                 continue;
             }
-
-            Instruction &ins = emit(op.chip);
-            ins.op = op.op;
-            ins.prime = op.prime;
-            if (op.op == Opcode::BConv || op.op == Opcode::Mod) {
-                const auto aux = unit.aux(op);
-                ins.aux.assign(aux.begin(), aux.end());
-            }
-            ins.imm = op.desc >= 0 ? addr[op.desc] : op.imm;
-            const auto args = unit.args(op);
-            ins.srcs.resize(args.size());
-            for (std::size_t k = 0; k < args.size(); ++k)
-                ins.srcs[k] = regOf(args[k]);
-            if (op.result >= 0) {
-                ins.dst = newReg(op.chip);
-                vreg[op.result] = ins.dst;
-            }
+            const uint64_t tag = next_tag++;
+            for (uint32_t c = op.part_lo; c < op.part_hi; ++c)
+                chip_ops[c].push_back({idx, tag});
         }
+        vreg[u].assign(unit.values.size(), -1);
 
         for (const OutputSpec &spec : unit.outputs) {
             OutputInfo info;
@@ -151,8 +107,10 @@ lowerIsaPass(PassContext &pcx)
             info.scale = spec.scale;
             for (int poly = 0; poly < 2; ++poly) {
                 info.addrs[poly].resize(spec.level + 1);
-                for (std::size_t i = 0; i <= spec.level; ++i)
-                    info.addrs[poly][i] = addr[spec.desc_idx[poly][i]];
+                for (std::size_t i = 0; i <= spec.level; ++i) {
+                    info.addrs[poly][i] =
+                        addr[u][spec.desc_idx[poly][i]];
+                }
             }
             info.owners = spec.owners;
             out.outputs[spec.name] = std::move(info);
@@ -161,6 +119,89 @@ lowerIsaPass(PassContext &pcx)
         out.comm.broadcast_limbs += unit.comm.broadcast_limbs;
         out.comm.aggregation_limbs += unit.comm.aggregation_limbs;
     }
+
+    // Per chip, on the pool. A chip reads and writes only the vreg
+    // entries of values placed on it (regOf checks the placement), so
+    // the chips share no mutable state.
+    std::vector<int> nreg(cfg.chips, 0);
+    auto emitChip = [&](std::size_t c) {
+        const std::vector<ChipOp> &ops = chip_ops[c];
+        if (ops.empty())
+            return;
+        const LimbUnit &unit = limb.units[unit_of[c]];
+        const std::vector<uint64_t> &uaddr = addr[unit_of[c]];
+        std::vector<int> &uvreg = vreg[unit_of[c]];
+        isa::ChipProgram &chip = out.machine.chips[c];
+
+        std::size_t nsrcs = 0, naux = 0;
+        for (const ChipOp &e : ops) {
+            const LimbOp &op = unit.ops[e.op];
+            nsrcs += op.collective() ? 1 : op.args.size;
+            if (op.op == Opcode::BConv || op.op == Opcode::Mod)
+                naux += op.aux.size;
+        }
+        chip.instrs.reserve(ops.size());
+        chip.operands.reserve(nsrcs);
+        chip.primes.reserve(naux);
+
+        auto regOf = [&](int value) {
+            CINN_ASSERT(value >= 0 && unit.values[value].chip == c &&
+                            uvreg[value] >= 0,
+                        "limb value %" << value
+                                       << " used before definition"
+                                       << " on chip " << c);
+            return uvreg[value];
+        };
+        int next_reg = 0;
+        auto define = [&](Instruction &ins, int value) {
+            ins.dst = next_reg++;
+            uvreg[value] = ins.dst;
+        };
+        auto addSrc = [&](Instruction &ins, int value) {
+            ins.srcs.size = 1;
+            ins.srcs.at = static_cast<uint32_t>(chip.operands.size());
+            chip.operands.push_back(regOf(value));
+        };
+
+        for (const ChipOp &e : ops) {
+            const LimbOp &op = unit.ops[e.op];
+            Instruction &ins = chip.instrs.emplace_back();
+            ins.op = op.op;
+            ins.prime = op.prime;
+            if (op.collective()) {
+                const uint32_t owner = static_cast<uint32_t>(op.imm);
+                const int mine = unit.coll(op)[c - op.part_lo];
+                ins.tag = e.tag;
+                ins.part_lo = op.part_lo;
+                ins.part_hi = op.part_hi;
+                if (op.op == Opcode::Bcast) {
+                    ins.imm = owner;
+                    if (c == owner)
+                        addSrc(ins, unit.args(op)[0]);
+                    if (mine >= 0)
+                        define(ins, mine);
+                } else { // Agg
+                    addSrc(ins, mine);
+                    if (c == owner)
+                        define(ins, op.result);
+                }
+                continue;
+            }
+            if (op.op == Opcode::BConv || op.op == Opcode::Mod)
+                ins.aux = chip.addAux(unit.aux(op));
+            ins.imm = op.desc >= 0 ? uaddr[op.desc] : op.imm;
+            const auto args = unit.args(op);
+            ins.srcs.at = static_cast<uint32_t>(chip.operands.size());
+            ins.srcs.size = static_cast<uint32_t>(args.size());
+            for (int a : args)
+                chip.operands.push_back(regOf(a));
+            if (op.result >= 0)
+                define(ins, op.result);
+        }
+        nreg[c] = next_reg;
+    };
+    TaskPool::global().forEach(cfg.chips, cfg.compile_workers,
+                               emitChip);
 
     std::size_t max_vregs = 0;
     for (std::size_t c = 0; c < cfg.chips; ++c) {
@@ -178,10 +219,13 @@ lowerIsaPass(PassContext &pcx)
 /**
  * The preload table (CompiledProgram::preload) of a finished program:
  * one pass over the descriptors names every source by index, then one
- * pass over each chip's final stream records its first-use loads of
- * program data, whether it also Stores there, and its footprint.
- * Program data occupies the dense addresses [1, data.size()]; spill
- * slots follow, so a flag array per chip replaces every set.
+ * pass over each chip's final stream — the chips on the TaskPool —
+ * records its first-use loads of program data, whether it also
+ * Stores there, and its footprint. Program data occupies the dense
+ * addresses [1, data.size()]; spill slots follow, so a flag array per
+ * chip replaces every set. Each chip writes only its own entries; the
+ * evaluation-key limbs the chips load are merged from their load
+ * lists afterwards.
  */
 PreloadTable
 buildPreloadTable(const CompiledProgram &program,
@@ -267,13 +311,6 @@ buildPreloadTable(const CompiledProgram &program,
         }
     }
 
-    // key_slot[k][digit * key_primes + prime] is set once any chip
-    // loads that limb of key k, and later becomes its position.
-    const std::size_t key_primes = ctx.keyBasis().size();
-    std::vector<std::vector<uint32_t>> key_slot(table.keys.size());
-    for (std::size_t k = 0; k < table.keys.size(); ++k)
-        key_slot[k].assign(table.keys[k].limbs.size() * key_primes, 0);
-
     // Per chip: first-use loads of program data, the addresses the chip
     // Stores to, and its footprint. A Load past the data is a spill
     // slot, produced by a Store at run time.
@@ -281,10 +318,10 @@ buildPreloadTable(const CompiledProgram &program,
     const std::size_t chips = program.machine.numChips();
     table.chips.resize(chips);
     table.footprint.assign(chips, 0);
-    std::vector<uint8_t> seen;
-    for (std::size_t c = 0; c < chips; ++c) {
-        seen.assign(data_end, 0);
+    auto scanChip = [&](std::size_t c) {
+        std::vector<uint8_t> seen(data_end, 0);
         auto &loads = table.chips[c];
+        std::size_t footprint = 0;
         for (const isa::Instruction &ins : program.machine.chips[c].instrs) {
             if (ins.op != isa::Opcode::Load && ins.op != isa::Opcode::Store)
                 continue;
@@ -292,7 +329,7 @@ buildPreloadTable(const CompiledProgram &program,
                 seen.resize(ins.imm + 1, 0);
             uint8_t &mark = seen[ins.imm];
             if (mark == 0)
-                ++table.footprint[c];
+                ++footprint;
             mark |= kTouched;
             if (ins.op == isa::Opcode::Store) {
                 mark |= kStored;
@@ -305,13 +342,27 @@ buildPreloadTable(const CompiledProgram &program,
             CINN_ASSERT(src.kind != Kind::Output,
                         "outputs are not materialized as inputs");
             loads.push_back(src);
-            if (src.kind == Kind::EvalKey)
-                key_slot[src.source][src.digit * key_primes + src.prime] =
-                    1;
         }
         for (PreloadTable::Load &load : loads)
             load.dirtied = (seen[load.addr] & kStored) != 0;
+        table.footprint[c] = footprint;
+    };
+    TaskPool::global().forEach(chips, program.config.compile_workers,
+                               scanChip);
+
+    // key_slot[k][digit * key_primes + prime] is set once any chip
+    // loads that limb of key k, and later becomes its position.
+    const std::size_t key_primes = ctx.keyBasis().size();
+    std::vector<std::vector<uint32_t>> key_slot(table.keys.size());
+    for (std::size_t k = 0; k < table.keys.size(); ++k) {
+        key_slot[k].assign(table.keys[k].limbs.size() * key_primes,
+                           0);
     }
+    for (const auto &loads : table.chips)
+        for (const PreloadTable::Load &load : loads)
+            if (load.kind == Kind::EvalKey)
+                key_slot[load.source]
+                        [load.digit * key_primes + load.prime] = 1;
 
     // Each key digit's loaded primes, ascending, and every key load's
     // position among them.
@@ -382,10 +433,11 @@ printIsaProgram(const CompiledProgram &program)
        << " data addresses, bcast=" << program.comm.broadcast_limbs
        << " agg=" << program.comm.aggregation_limbs << "\n";
     for (std::size_t c = 0; c < program.machine.chips.size(); ++c) {
-        const auto &instrs = program.machine.chips[c].instrs;
-        os << " chip " << c << " (" << instrs.size() << " instrs)\n";
-        for (const auto &ins : instrs)
-            os << "  " << ins.toString() << "\n";
+        const isa::ChipProgram &chip = program.machine.chips[c];
+        os << " chip " << c << " (" << chip.instrs.size()
+           << " instrs)\n";
+        for (const auto &ins : chip.instrs)
+            os << "  " << chip.toString(ins) << "\n";
     }
     return os.str();
 }

@@ -16,10 +16,16 @@
  *                 modular limb-to-chip placement, collectives as
  *                 explicit IR nodes; independent stream units lower
  *                 concurrently;
- *   lower-isa   — placed limb ops → Cinnamon ISA (Section 4.6) with
- *                 global address assignment and collective tags;
+ *   lower-isa   — placed limb ops → Cinnamon ISA (Section 4.6): a
+ *                 serial pre-pass assigns global addresses and
+ *                 collective tags, then every chip's stream is
+ *                 emitted concurrently;
  *   regalloc    — per-chip Belady register allocation (Section 4.4),
  *                 chips allocated concurrently.
+ *
+ * After the passes, the preload table scans the chips concurrently
+ * too. Every concurrent step is capped by CompilerConfig::
+ * compile_workers and emits the same program at any worker count.
  *
  * Streams (program-level parallelism) map to disjoint chip groups:
  * stream s runs on chips [s*g, (s+1)*g) where g = chips/num_streams.

@@ -34,16 +34,21 @@ constexpr uint64_t kNoHome = ~uint64_t{0};
 class ChipAllocator
 {
   public:
-    ChipAllocator(std::vector<Instruction> &in, std::size_t phys_regs,
+    ChipAllocator(isa::ChipProgram &chip, std::size_t phys_regs,
                   uint64_t spill_base, RegAllocStats &stats,
                   EvictionPolicy policy)
-        : in_(in), phys_(phys_regs), spill_base_(spill_base),
-          stats_(stats), belady_(policy == EvictionPolicy::Belady)
+        : chip_(chip), pool_(chip.operands), phys_(phys_regs),
+          spill_base_(spill_base), stats_(stats),
+          belady_(policy == EvictionPolicy::Belady)
     {
     }
 
-    /** Allocate the stream; consumes the input instructions. */
-    std::vector<Instruction> run();
+    /**
+     * Allocate the stream in place: operands are rewritten in the
+     * chip's pool, spill Stores append theirs, and the instruction
+     * list is replaced by the allocated one.
+     */
+    void run();
 
   private:
     /** Next use of `vreg` after `at`; `at` never decreases. */
@@ -109,10 +114,10 @@ class ChipAllocator
             home_[victim] = spill_base_ + spill_slots_++;
             Instruction st;
             st.op = Opcode::Store;
-            st.srcs = {p};
+            st.srcs = chip_.addSrcs({p});
             st.prime = prime_[victim];
             st.imm = home_[victim];
-            out_.push_back(std::move(st));
+            out_.push_back(st);
             ++stats_.spill_stores;
         }
         loc_[victim] = -1;
@@ -134,13 +139,14 @@ class ChipAllocator
         ld.dst = p;
         ld.prime = prime_[vreg];
         ld.imm = home_[vreg];
-        out_.push_back(std::move(ld));
+        out_.push_back(ld);
         loc_[vreg] = p;
         pin_[p] = stamp_;
         ++stats_.spill_loads;
     }
 
-    std::vector<Instruction> &in_;
+    isa::ChipProgram &chip_;
+    std::vector<int> &pool_; ///< chip_.operands, grown by spills
     std::size_t phys_;
     uint64_t spill_base_;
     RegAllocStats &stats_;
@@ -169,15 +175,16 @@ class ChipAllocator
     std::vector<Instruction> out_;
 };
 
-std::vector<Instruction>
+void
 ChipAllocator::run()
 {
-    CINN_ASSERT(in_.size() < kNever,
+    const std::vector<Instruction> &in = chip_.instrs;
+    CINN_ASSERT(in.size() < kNever,
                 "instruction stream too long to allocate");
     std::size_t vregs = 0;
-    for (const Instruction &ins : in_) {
+    for (const Instruction &ins : in) {
         vregs = std::max<std::size_t>(vregs, ins.dst + 1);
-        for (int s : ins.srcs)
+        for (int s : chip_.srcs(ins))
             vregs = std::max<std::size_t>(vregs, s + 1);
     }
 
@@ -187,8 +194,8 @@ ChipAllocator::run()
     use_begin_.assign(vregs + 1, 0);
     prime_.assign(vregs, 0);
     home_.assign(vregs, kNoHome);
-    for (const Instruction &ins : in_) {
-        for (int s : ins.srcs) {
+    for (const Instruction &ins : in) {
+        for (int s : chip_.srcs(ins)) {
             if (s >= 0)
                 ++use_begin_[s + 1];
         }
@@ -202,8 +209,8 @@ ChipAllocator::run()
         use_begin_[v + 1] += use_begin_[v];
     use_pos_.resize(use_begin_[vregs]);
     cursor_.assign(use_begin_.begin(), use_begin_.end() - 1);
-    for (std::size_t i = 0; i < in_.size(); ++i) {
-        for (int s : in_[i].srcs) {
+    for (std::size_t i = 0; i < in.size(); ++i) {
+        for (int s : chip_.srcs(in[i])) {
             if (s >= 0)
                 use_pos_[cursor_[s]++] = static_cast<Pos>(i);
         }
@@ -218,28 +225,36 @@ ChipAllocator::run()
         freeReg(static_cast<int>(p));
     // Spill code adds well under a quarter; an untouched reserve
     // costs no resident memory, a regrowth copies every instruction.
-    out_.reserve(in_.size() + in_.size() / 4);
+    out_.reserve(in.size() + in.size() / 4);
+    pool_.reserve(pool_.size() + in.size() / 4);
 
     std::size_t live = 0;
-    for (Pos at = 0; at < in_.size(); ++at) {
-        Instruction ins = std::move(in_[at]);
+    for (Pos at = 0; at < in.size(); ++at) {
+        Instruction ins = in[at];
+        // Operands are read by pool index: a spill Store appended
+        // while reloading may move the pool.
+        const uint32_t first = ins.srcs.at;
+        const uint32_t end = first + ins.srcs.size;
 
         // Sources first: reload any spilled operand, pinning the
         // instruction's own operands against eviction (the
         // destination is not resident yet, so needs no pin).
         stamp_ = at + 1;
-        for (int s : ins.srcs) {
+        for (uint32_t k = first; k < end; ++k) {
+            const int s = pool_[k];
             if (s >= 0 && loc_[s] >= 0)
                 pin_[loc_[s]] = stamp_;
         }
-        for (int s : ins.srcs) {
-            if (s >= 0)
-                ensureResident(s, at);
+        for (uint32_t k = first; k < end; ++k) {
+            if (pool_[k] >= 0)
+                ensureResident(pool_[k], at);
         }
-        // Rewrite sources and free the ones that die here (a dead
-        // value is never looked up again, so its loc_ may go stale;
-        // clearing the pin frees a repeated operand only once).
-        for (int &s : ins.srcs) {
+        // Rewrite sources in the pool and free the ones that die
+        // here (a dead value is never looked up again, so its loc_
+        // may go stale; clearing the pin frees a repeated operand
+        // only once).
+        for (uint32_t k = first; k < end; ++k) {
+            int &s = pool_[k];
             if (s < 0)
                 continue;
             const int vreg = s;
@@ -266,10 +281,10 @@ ChipAllocator::run()
             }
         }
         live = std::max(live, phys_ - free_count_);
-        out_.push_back(std::move(ins));
+        out_.push_back(ins);
     }
     stats_.max_live = std::max(stats_.max_live, live);
-    return std::move(out_);
+    chip_.instrs = std::move(out_);
 }
 
 } // namespace
@@ -286,10 +301,9 @@ allocateRegisters(isa::MachineProgram &program, std::size_t phys_regs,
     // deterministic per-chip stats afterwards.
     std::vector<RegAllocStats> per_chip(program.chips.size());
     auto allocateChip = [&](std::size_t c) {
-        auto &instrs = program.chips[c].instrs;
-        ChipAllocator alloc(instrs, phys_regs, spill_addr_base,
-                            per_chip[c], policy);
-        instrs = alloc.run();
+        ChipAllocator alloc(program.chips[c], phys_regs,
+                            spill_addr_base, per_chip[c], policy);
+        alloc.run();
     };
     TaskPool::global().forEach(program.chips.size(), workers,
                                allocateChip);

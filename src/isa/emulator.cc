@@ -169,27 +169,32 @@ Emulator::arenaBytes() const
 }
 
 const uint64_t *
-Emulator::srcPlane(std::size_t chip, const Instruction &ins,
+Emulator::srcPlane(std::size_t chip, const ChipProgram &prog,
                    std::size_t pc, std::size_t operand) const
 {
-    CINN_ASSERT(operand < ins.srcs.size() && ins.srcs[operand] >= 0,
-                "missing source operand: " << ins.toString());
+    const Instruction &ins = prog.instrs[pc];
+    const auto srcs = prog.srcs(ins);
+    CINN_ASSERT(operand < srcs.size() && srcs[operand] >= 0,
+                "missing source operand: " << prog.toString(ins));
     const RegFile &rf = regs_[chip];
-    const int r = ins.srcs[operand];
+    const int r = srcs[operand];
     if (static_cast<std::size_t>(r) >= rf.size() || !rf.defined[r]) {
         std::ostringstream msg;
         msg << opcodeName(ins.op) << " reads undefined register r" << r
             << " on chip " << chip << " at pc " << pc << " ("
-            << ins.toString() << ")";
+            << prog.toString(ins) << ")";
         throw EmulatorError(msg.str(), ins.op, chip, pc);
     }
     return rf.plane(r);
 }
 
 void
-Emulator::execute(std::size_t chip, const Instruction &ins,
+Emulator::execute(std::size_t chip, const ChipProgram &prog,
                   std::size_t pc)
 {
+    const Instruction &ins = prog.instrs[pc];
+    const auto srcs = prog.srcs(ins);
+    const auto aux = prog.aux(ins);
     // The armed fault point fires at-or-after its pc so a fraction
     // that lands on a collective still kills the chip at its next
     // owned instruction.
@@ -210,16 +215,14 @@ Emulator::execute(std::size_t chip, const Instruction &ins,
     // plane is always claimed before source planes are resolved.
     auto dstPlane = [&]() -> uint64_t * {
         CINN_ASSERT(ins.dst >= 0,
-                    "missing destination: " << ins.toString());
+                    "missing destination: " << prog.toString(ins));
         return rf.ensure(ins.dst);
     };
     auto commitDst = [&](uint32_t prime) {
         rf.primes[ins.dst] = prime;
         rf.defined[ins.dst] = 1;
     };
-    auto srcPrime = [&](std::size_t i) {
-        return rf.primes[ins.srcs[i]];
-    };
+    auto srcPrime = [&](std::size_t i) { return rf.primes[srcs[i]]; };
 
     switch (ins.op) {
       case Opcode::Nop:
@@ -231,7 +234,7 @@ Emulator::execute(std::size_t chip, const Instruction &ins,
             std::ostringstream msg;
             msg << "Load from unmapped address " << ins.imm
                 << " on chip " << chip << " at pc " << pc << " ("
-                << ins.toString() << ")";
+                << prog.toString(ins) << ")";
             throw EmulatorError(msg.str(), ins.op, chip, pc);
         }
         uint64_t *d = dstPlane();
@@ -244,7 +247,7 @@ Emulator::execute(std::size_t chip, const Instruction &ins,
         break;
       }
       case Opcode::Store: {
-        const uint64_t *a = srcPlane(chip, ins, pc, 0);
+        const uint64_t *a = srcPlane(chip, prog, pc, 0);
         uint64_t *d = mem_[chip].slotFor(ins.imm, srcPrime(0));
         sliceFor(n, [&](std::size_t lo, std::size_t hi) {
             std::memcpy(d + lo, a + lo, (hi - lo) * sizeof(uint64_t));
@@ -254,7 +257,7 @@ Emulator::execute(std::size_t chip, const Instruction &ins,
       case Opcode::Ntt:
       case Opcode::Intt: {
         uint64_t *d = dstPlane();
-        const uint64_t *a = srcPlane(chip, ins, pc, 0);
+        const uint64_t *a = srcPlane(chip, prog, pc, 0);
         CINN_ASSERT(srcPrime(0) == ins.prime,
                     (ins.op == Opcode::Ntt ? "ntt" : "intt")
                         << " prime mismatch");
@@ -275,11 +278,12 @@ Emulator::execute(std::size_t chip, const Instruction &ins,
       case Opcode::Sub:
       case Opcode::Mul: {
         uint64_t *d = dstPlane();
-        const uint64_t *a = srcPlane(chip, ins, pc, 0);
-        const uint64_t *b = srcPlane(chip, ins, pc, 1);
+        const uint64_t *a = srcPlane(chip, prog, pc, 0);
+        const uint64_t *b = srcPlane(chip, prog, pc, 1);
         CINN_ASSERT(srcPrime(0) == ins.prime &&
                         srcPrime(1) == ins.prime,
-                    "binary op prime mismatch: " << ins.toString());
+                    "binary op prime mismatch: "
+                        << prog.toString(ins));
         sliceFor(n, [&](std::size_t lo, std::size_t hi) {
             if (ins.op == Opcode::Add)
                 kt.add(d + lo, a + lo, b + lo, hi - lo, q);
@@ -295,7 +299,7 @@ Emulator::execute(std::size_t chip, const Instruction &ins,
       case Opcode::SubScalar:
       case Opcode::MulScalar: {
         uint64_t *d = dstPlane();
-        const uint64_t *a = srcPlane(chip, ins, pc, 0);
+        const uint64_t *a = srcPlane(chip, prog, pc, 0);
         CINN_ASSERT(srcPrime(0) == ins.prime,
                     "scalar op prime mismatch");
         const uint64_t s = ins.imm % q;
@@ -319,7 +323,7 @@ Emulator::execute(std::size_t chip, const Instruction &ins,
       }
       case Opcode::Automorph: {
         uint64_t *d = dstPlane();
-        const uint64_t *a = srcPlane(chip, ins, pc, 0);
+        const uint64_t *a = srcPlane(chip, prog, pc, 0);
         CINN_ASSERT(srcPrime(0) == ins.prime,
                     "automorph prime mismatch");
         if (d == a) {
@@ -336,29 +340,29 @@ Emulator::execute(std::size_t chip, const Instruction &ins,
         // dst_j = Σ_i src_i[j] * ((S / s_i) mod q); sources must be
         // pre-scaled by (S/s_i)^{-1} mod s_i (the compiler emits
         // MulScalar first — this mirrors the two-stage BCU).
-        CINN_ASSERT(ins.aux.size() == ins.srcs.size(),
+        CINN_ASSERT(aux.size() == srcs.size(),
                     "bconv needs one source prime per operand");
-        const std::size_t fan = ins.srcs.size();
+        const std::size_t fan = srcs.size();
         CINN_ASSERT(fan <= 64, "bconv fan-in too large");
         bool aliases = false;
-        for (int s : ins.srcs)
+        for (int s : srcs)
             aliases = aliases || s == ins.dst;
         uint64_t *d = dstPlane();
         const uint64_t *sp[64];
         uint64_t fs[64];
         uint64_t src_bound = 0;
         for (std::size_t i = 0; i < fan; ++i) {
-            sp[i] = srcPlane(chip, ins, pc, i);
-            CINN_ASSERT(srcPrime(i) == ins.aux[i],
+            sp[i] = srcPlane(chip, prog, pc, i);
+            CINN_ASSERT(srcPrime(i) == aux[i],
                         "bconv source prime mismatch");
-            const uint64_t sv = ctx_->rns().modulus(ins.aux[i]).value();
+            const uint64_t sv = ctx_->rns().modulus(aux[i]).value();
             src_bound = sv > src_bound ? sv : src_bound;
             uint64_t f = 1;
-            for (std::size_t k = 0; k < ins.aux.size(); ++k) {
+            for (std::size_t k = 0; k < aux.size(); ++k) {
                 if (k == i)
                     continue;
                 f = mod.mul(f,
-                            ctx_->rns().modulus(ins.aux[k]).value() % q);
+                            ctx_->rns().modulus(aux[k]).value() % q);
             }
             fs[i] = f;
         }
@@ -385,10 +389,10 @@ Emulator::execute(std::size_t chip, const Instruction &ins,
         break;
       }
       case Opcode::Mod: {
-        CINN_ASSERT(ins.aux.size() == 1, "mod needs the source prime");
+        CINN_ASSERT(aux.size() == 1, "mod needs the source prime");
         uint64_t *d = dstPlane();
-        const uint64_t *a = srcPlane(chip, ins, pc, 0);
-        CINN_ASSERT(srcPrime(0) == ins.aux[0],
+        const uint64_t *a = srcPlane(chip, prog, pc, 0);
+        CINN_ASSERT(srcPrime(0) == aux[0],
                     "mod source prime mismatch");
         sliceFor(n, [&](std::size_t lo, std::size_t hi) {
             kt.modReduce(d + lo, a + lo, hi - lo, q);
@@ -408,12 +412,15 @@ Emulator::executeCollective(const MachineProgram &program,
                             uint32_t lo, uint32_t hi)
 {
     const std::size_t n = ctx_->n();
-    const Instruction &first = program.chips[lo].instrs[pcs[lo]];
+    const ChipProgram &lead = program.chips[lo];
+    const Instruction &first = lead.instrs[pcs[lo]];
     for (std::size_t c = lo + 1; c < hi; ++c) {
-        const Instruction &ins = program.chips[c].instrs[pcs[c]];
+        const ChipProgram &prog = program.chips[c];
+        const Instruction &ins = prog.instrs[pcs[c]];
         CINN_ASSERT(ins.op == first.op && ins.tag == first.tag,
                     "collective mismatch across chips: "
-                        << first.toString() << " vs " << ins.toString());
+                        << lead.toString(first) << " vs "
+                        << prog.toString(ins));
     }
     ++chip_stats_[lo].executed[first.op];
 
@@ -427,10 +434,11 @@ Emulator::executeCollective(const MachineProgram &program,
         const std::size_t owner = first.imm;
         CINN_ASSERT(owner >= lo && owner < hi,
                     "broadcast owner outside participant group");
-        const Instruction &oins = program.chips[owner].instrs[pcs[owner]];
-        const uint64_t *a = srcPlane(owner, oins, pcs[owner], 0);
+        const ChipProgram &oprog = program.chips[owner];
+        const uint64_t *a = srcPlane(owner, oprog, pcs[owner], 0);
         value.assign(a, a + n);
-        value_prime = regs_[owner].primes[oins.srcs[0]];
+        const int r = oprog.srcs(oprog.instrs[pcs[owner]])[0];
+        value_prime = regs_[owner].primes[r];
     } else { // Agg
         const rns::Modulus &mod = ctx_->rns().modulus(first.prime);
         const rns::KernelTable &kt = rns::kernels();
@@ -442,9 +450,10 @@ Emulator::executeCollective(const MachineProgram &program,
         std::vector<const uint64_t *> srcs;
         srcs.reserve(hi - lo);
         for (std::size_t c = lo; c < hi; ++c) {
-            const Instruction &ins = program.chips[c].instrs[pcs[c]];
-            srcs.push_back(srcPlane(c, ins, pcs[c], 0));
-            CINN_ASSERT(regs_[c].primes[ins.srcs[0]] == first.prime,
+            const ChipProgram &prog = program.chips[c];
+            srcs.push_back(srcPlane(c, prog, pcs[c], 0));
+            const int r = prog.srcs(prog.instrs[pcs[c]])[0];
+            CINN_ASSERT(regs_[c].primes[r] == first.prime,
                         "aggregation prime mismatch");
         }
         uint64_t *v = value.data();
@@ -516,7 +525,7 @@ Emulator::run(const MachineProgram &program)
             const auto &instrs = program.chips[c].instrs;
             while (pcs[c] < instrs.size() &&
                    !isCollective(instrs[pcs[c]].op)) {
-                execute(c, instrs[pcs[c]], pcs[c]);
+                execute(c, program.chips[c], pcs[c]);
                 ++pcs[c];
             }
         });

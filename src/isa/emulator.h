@@ -258,8 +258,8 @@ class Emulator
         }
     };
 
-    /** Execute one non-collective instruction on one chip. */
-    void execute(std::size_t chip, const Instruction &ins,
+    /** Execute instruction `pc` of `prog` (not a collective). */
+    void execute(std::size_t chip, const ChipProgram &prog,
                  std::size_t pc);
 
     /**
@@ -275,9 +275,13 @@ class Emulator
                            const std::vector<std::size_t> &pcs,
                            uint32_t lo, uint32_t hi);
 
-    /** Read a defined source register or throw EmulatorError. */
-    const uint64_t *srcPlane(std::size_t chip, const Instruction &ins,
-                             std::size_t pc, std::size_t operand) const;
+    /**
+     * Read source `operand` of instruction `pc` of `prog`, a defined
+     * register, or throw EmulatorError.
+     */
+    const uint64_t *srcPlane(std::size_t chip,
+                             const ChipProgram &prog, std::size_t pc,
+                             std::size_t operand) const;
 
     const fhe::CkksContext *ctx_;
     std::size_t chips_;

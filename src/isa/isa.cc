@@ -54,20 +54,47 @@ isCollective(Opcode op)
     return op == Opcode::Bcast || op == Opcode::Agg;
 }
 
+namespace {
+
+template <typename T>
+OperandSpan
+append(std::vector<T> &pool, std::span<const T> items)
+{
+    OperandSpan s;
+    s.at = static_cast<uint32_t>(pool.size());
+    s.size = static_cast<uint32_t>(items.size());
+    pool.insert(pool.end(), items.begin(), items.end());
+    return s;
+}
+
+} // namespace
+
+OperandSpan
+ChipProgram::addSrcs(std::span<const int> regs)
+{
+    return append(operands, regs);
+}
+
+OperandSpan
+ChipProgram::addAux(std::span<const uint32_t> ps)
+{
+    return append(primes, ps);
+}
+
 std::string
-Instruction::toString() const
+ChipProgram::toString(const Instruction &ins) const
 {
     std::ostringstream oss;
-    oss << opcodeName(op);
-    if (dst >= 0)
-        oss << " r" << dst;
-    for (int s : srcs)
+    oss << opcodeName(ins.op);
+    if (ins.dst >= 0)
+        oss << " r" << ins.dst;
+    for (int s : srcs(ins))
         oss << ", r" << s;
-    oss << " [q" << prime << "]";
-    if (imm != 0)
-        oss << " imm=" << imm;
-    if (tag != 0)
-        oss << " tag=" << tag;
+    oss << " [q" << ins.prime << "]";
+    if (ins.imm != 0)
+        oss << " imm=" << ins.imm;
+    if (ins.tag != 0)
+        oss << " tag=" << ins.tag;
     return oss.str();
 }
 

@@ -13,13 +13,22 @@
  * communication instructions carry a tag; all participating chips
  * execute the matching tag in the same order, which is how both the
  * emulator and the cycle simulator rendezvous them.
+ *
+ * An Instruction is a fixed-size, trivially copyable record: its
+ * source registers and the source primes of BConv/Mod live in its
+ * chip's pools (ChipProgram::operands / primes) and are read through
+ * ChipProgram::srcs and aux, so emitting, allocating and freeing a
+ * stream allocates nothing per instruction.
  */
 
 #ifndef CINNAMON_ISA_ISA_H_
 #define CINNAMON_ISA_ISA_H_
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace cinnamon::isa {
@@ -54,26 +63,65 @@ const char *opcodeName(Opcode op);
 /** True for instructions that move data between chips. */
 bool isCollective(Opcode op);
 
-/** A single Cinnamon ISA instruction. */
+/** A slice [at, at + size) of one of a ChipProgram's pools. */
+struct OperandSpan
+{
+    uint32_t at = 0;
+    uint32_t size = 0;
+};
+
+/**
+ * A single Cinnamon ISA instruction. Its operand lists are spans into
+ * the owning ChipProgram's pools; ChipProgram::toString prints it.
+ */
 struct Instruction
 {
     Opcode op = Opcode::Nop;
-    int dst = -1;               ///< destination register (-1 if none)
-    std::vector<int> srcs;      ///< source registers
-    uint32_t prime = 0;         ///< modulus index the op runs under
-    uint64_t imm = 0;           ///< scalar / Galois element / address
-    std::vector<uint32_t> aux;  ///< extra prime indices (BConv, Mod)
-    uint64_t tag = 0;           ///< rendezvous tag for collectives
-    uint32_t part_lo = 0;       ///< collective participants: chips
-    uint32_t part_hi = 0;       ///< [part_lo, part_hi)
-
-    std::string toString() const;
+    int dst = -1;         ///< destination register (-1 if none)
+    uint32_t prime = 0;   ///< modulus index the op runs under
+    uint32_t part_lo = 0; ///< collective participants: chips
+    uint32_t part_hi = 0; ///< [part_lo, part_hi)
+    OperandSpan srcs;     ///< source registers (pool)
+    OperandSpan aux;      ///< BConv / Mod source primes (pool)
+    uint64_t imm = 0;     ///< scalar / Galois element / address
+    uint64_t tag = 0;     ///< rendezvous tag for collectives
 };
 
-/** One chip's instruction stream. */
+static_assert(std::is_trivially_copyable_v<Instruction>,
+              "an instruction keeps its lists in its chip's pools");
+
+/** One chip's instruction stream and the pools its records use. */
 struct ChipProgram
 {
     std::vector<Instruction> instrs;
+    std::vector<int> operands;    ///< pool: source registers
+    std::vector<uint32_t> primes; ///< pool: BConv / Mod source primes
+
+    std::span<const int>
+    srcs(const Instruction &ins) const
+    {
+        return {operands.data() + ins.srcs.at, ins.srcs.size};
+    }
+
+    std::span<const uint32_t>
+    aux(const Instruction &ins) const
+    {
+        return {primes.data() + ins.aux.at, ins.aux.size};
+    }
+
+    /** Append registers to the operand pool; returns their span. */
+    OperandSpan addSrcs(std::span<const int> regs);
+    OperandSpan
+    addSrcs(std::initializer_list<int> regs)
+    {
+        return addSrcs(std::span(regs.begin(), regs.size()));
+    }
+
+    /** Append primes to the prime pool; returns their span. */
+    OperandSpan addAux(std::span<const uint32_t> ps);
+
+    /** One-line text of `ins`, a record of this chip. */
+    std::string toString(const Instruction &ins) const;
 };
 
 /** A compiled multi-chip program. */

@@ -23,8 +23,18 @@ RequestQueue::submit(Request request)
     if (request.born == Clock::time_point{})
         request.born = request.admitted;
     items_.push_back(std::move(request));
-    ready_.notify_one();
+    notifyArrival();
     return true;
+}
+
+void
+RequestQueue::notifyArrival()
+{
+    // One idle consumer takes the arrival; every lingering one sweeps
+    // for it. Lingerers wait apart, so an arrival they cannot use
+    // never spends the idle consumers' wake-up.
+    ready_.notify_one();
+    lingering_.notify_all();
 }
 
 std::vector<Request>
@@ -68,7 +78,7 @@ RequestQueue::popBatch(std::size_t max, double linger_ms,
     bool lingered = false;
     while (batch.size() < max && !closed_ && linger_ms > 0) {
         lingered = true;
-        if (ready_.wait_until(lock, deadline) ==
+        if (lingering_.wait_until(lock, deadline) ==
             std::cv_status::timeout) {
             sweep();
             break;
@@ -94,7 +104,7 @@ RequestQueue::requeue(Request request)
         return false;
     }
     items_.push_back(std::move(request));
-    ready_.notify_one();
+    notifyArrival();
     return true;
 }
 
@@ -104,6 +114,7 @@ RequestQueue::close()
     std::lock_guard<std::mutex> lock(mutex_);
     closed_ = true;
     ready_.notify_all();
+    lingering_.notify_all();
 }
 
 void
@@ -113,6 +124,7 @@ RequestQueue::seal()
     closed_ = true;
     sealed_ = true;
     ready_.notify_all();
+    lingering_.notify_all();
 }
 
 bool

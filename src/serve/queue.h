@@ -49,7 +49,9 @@ class RequestQueue
      * (which keep their FIFO slots).
      * If the batch is still short and the queue is open, linger up to
      * `linger_ms` for compatible arrivals — trading a bounded bit of
-     * head latency for occupancy, continuous-batching style. With
+     * head latency for occupancy, continuous-batching style. A
+     * lingering consumer waits apart from idle ones, so every arrival
+     * wakes one idle consumer as well as each lingerer. With
      * `max` = 1 it pops exactly the oldest request and never
      * lingers.
      *
@@ -110,9 +112,13 @@ class RequestQueue
     std::size_t rejectedClosed() const;
 
   private:
+    /** Wake one idle consumer and every lingering one (locked). */
+    void notifyArrival();
+
     const std::size_t capacity_;
     mutable std::mutex mutex_;
-    std::condition_variable ready_;
+    std::condition_variable ready_;     ///< idle consumers wait here
+    std::condition_variable lingering_; ///< lingering consumers here
     std::deque<Request> items_;
     std::size_t rejected_full_ = 0;   ///< capacity backpressure
     std::size_t rejected_closed_ = 0; ///< submits after close()

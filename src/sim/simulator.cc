@@ -311,7 +311,7 @@ simulate(const isa::MachineProgram &program, const HardwareConfig &hw,
         ChipState &s = state[c];
         ++result.issued_per_chip[c];
         double src_ready = 0.0;
-        for (int r : ins.srcs)
+        for (int r : program.chips[c].srcs(ins))
             src_ready = std::max(src_ready, s.ready(r));
 
         // Decoupled issue: the front end dispatches one instruction
@@ -399,7 +399,7 @@ simulate(const isa::MachineProgram &program, const HardwareConfig &hw,
                 const Instruction &pi =
                     program.chips[p].instrs[state[p].pc];
                 double sr = state[p].now;
-                for (int r : pi.srcs)
+                for (int r : program.chips[p].srcs(pi))
                     sr = std::max(sr, state[p].ready(r));
                 arrival = std::max(arrival, sr);
             }

@@ -368,7 +368,7 @@ TEST(Compiler, AllocatedProgramsRespectRegisterBound)
     for (const auto &chip : compiled.machine.chips) {
         for (const auto &ins : chip.instrs) {
             EXPECT_LT(ins.dst, 32);
-            for (int s : ins.srcs)
+            for (int s : chip.srcs(ins))
                 EXPECT_LT(s, 32);
         }
     }

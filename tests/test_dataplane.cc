@@ -282,26 +282,37 @@ TEST(KernelBackends, VectorBackendMatchesScalarBitForBit)
 
 namespace {
 
+/** An instruction with its source registers, before it joins a chip. */
+struct Spec
+{
+    isa::Instruction ins;
+    std::vector<int> srcs;
+};
+
 isa::MachineProgram
-oneChip(std::vector<isa::Instruction> instrs)
+oneChip(const std::vector<Spec> &specs)
 {
     isa::MachineProgram p;
     p.chips.resize(1);
-    p.chips[0].instrs = std::move(instrs);
+    for (const Spec &spec : specs) {
+        isa::Instruction ins = spec.ins;
+        ins.srcs = p.chips[0].addSrcs(spec.srcs);
+        p.chips[0].instrs.push_back(ins);
+    }
     return p;
 }
 
-isa::Instruction
+Spec
 make(isa::Opcode op, int dst, std::vector<int> srcs, uint32_t prime,
      uint64_t imm = 0)
 {
-    isa::Instruction ins;
-    ins.op = op;
-    ins.dst = dst;
-    ins.srcs = std::move(srcs);
-    ins.prime = prime;
-    ins.imm = imm;
-    return ins;
+    Spec spec;
+    spec.ins.op = op;
+    spec.ins.dst = dst;
+    spec.ins.prime = prime;
+    spec.ins.imm = imm;
+    spec.srcs = std::move(srcs);
+    return spec;
 }
 
 testutil::CkksHarness &

@@ -33,28 +33,47 @@ randomLimb(Rng &rng, const fhe::CkksContext &ctx, uint32_t prime)
                                   ctx.rns().modulus(prime).value())};
 }
 
+/** An instruction with its operand lists, before it joins a chip. */
+struct Spec
+{
+    Instruction ins;
+    std::vector<int> srcs;
+    std::vector<uint32_t> aux;
+};
+
+/** Append `spec` to `chip`, its lists to the chip's pools. */
+void
+add(ChipProgram &chip, const Spec &spec)
+{
+    Instruction ins = spec.ins;
+    ins.srcs = chip.addSrcs(spec.srcs);
+    ins.aux = chip.addAux(spec.aux);
+    chip.instrs.push_back(ins);
+}
+
 /** Single-chip program wrapper. */
 MachineProgram
-oneChip(std::vector<Instruction> instrs)
+oneChip(const std::vector<Spec> &specs)
 {
     MachineProgram p;
     p.chips.resize(1);
-    p.chips[0].instrs = std::move(instrs);
+    for (const Spec &spec : specs)
+        add(p.chips[0], spec);
     return p;
 }
 
-Instruction
+Spec
 make(Opcode op, int dst, std::vector<int> srcs, uint32_t prime,
      uint64_t imm = 0, std::vector<uint32_t> aux = {})
 {
-    Instruction ins;
-    ins.op = op;
-    ins.dst = dst;
-    ins.srcs = std::move(srcs);
-    ins.prime = prime;
-    ins.imm = imm;
-    ins.aux = std::move(aux);
-    return ins;
+    Spec spec;
+    spec.ins.op = op;
+    spec.ins.dst = dst;
+    spec.ins.prime = prime;
+    spec.ins.imm = imm;
+    spec.srcs = std::move(srcs);
+    spec.aux = std::move(aux);
+    return spec;
 }
 
 } // namespace
@@ -67,8 +86,9 @@ TEST(IsaText, OpcodeNamesAndToString)
     EXPECT_TRUE(isCollective(Opcode::Agg));
     EXPECT_FALSE(isCollective(Opcode::Mul));
 
-    Instruction ins = make(Opcode::Add, 3, {1, 2}, 7);
-    auto text = ins.toString();
+    ChipProgram chip;
+    add(chip, make(Opcode::Add, 3, {1, 2}, 7));
+    auto text = chip.toString(chip.instrs[0]);
     EXPECT_NE(text.find("add"), std::string::npos);
     EXPECT_NE(text.find("r3"), std::string::npos);
     EXPECT_NE(text.find("q7"), std::string::npos);
@@ -213,14 +233,14 @@ TEST(Emulator, BroadcastDeliversOwnerValue)
     p.chips.resize(3);
     for (uint32_t c = 0; c < 3; ++c) {
         if (c == 1)
-            p.chips[c].instrs.push_back(make(Opcode::Load, 0, {}, 0, 1));
-        Instruction b = make(Opcode::Bcast, 5, c == 1 ? std::vector<int>{0}
-                                                      : std::vector<int>{},
-                             0, /*owner=*/1);
-        b.tag = 9;
-        b.part_lo = 0;
-        b.part_hi = 3;
-        p.chips[c].instrs.push_back(b);
+            add(p.chips[c], make(Opcode::Load, 0, {}, 0, 1));
+        Spec b = make(Opcode::Bcast, 5, c == 1 ? std::vector<int>{0}
+                                               : std::vector<int>{},
+                      0, /*owner=*/1);
+        b.ins.tag = 9;
+        b.ins.part_lo = 0;
+        b.ins.part_hi = 3;
+        add(p.chips[c], b);
     }
     emu.run(p);
     for (std::size_t c = 0; c < 3; ++c)
@@ -243,13 +263,12 @@ TEST(Emulator, AggregationSumsAndScopesToGroup)
     MachineProgram p;
     p.chips.resize(4);
     for (uint32_t c = 0; c < 4; ++c) {
-        p.chips[c].instrs.push_back(make(Opcode::Load, 0, {}, 0, 1));
-        Instruction a =
-            make(Opcode::Agg, c % 2 == 0 ? 5 : -1, {0}, 0);
-        a.tag = c < 2 ? 1 : 2;
-        a.part_lo = c < 2 ? 0 : 2;
-        a.part_hi = c < 2 ? 2 : 4;
-        p.chips[c].instrs.push_back(a);
+        add(p.chips[c], make(Opcode::Load, 0, {}, 0, 1));
+        Spec a = make(Opcode::Agg, c % 2 == 0 ? 5 : -1, {0}, 0);
+        a.ins.tag = c < 2 ? 1 : 2;
+        a.ins.part_lo = c < 2 ? 0 : 2;
+        a.ins.part_hi = c < 2 ? 2 : 4;
+        add(p.chips[c], a);
     }
     emu.run(p);
 
@@ -276,15 +295,15 @@ TEST(Emulator, IndependentGroupsProgressIndependently)
 
     MachineProgram p;
     p.chips.resize(3);
-    p.chips[0].instrs = {make(Opcode::Load, 0, {}, 0, 1),
-                         make(Opcode::Store, -1, {0}, 0, 2)};
+    add(p.chips[0], make(Opcode::Load, 0, {}, 0, 1));
+    add(p.chips[0], make(Opcode::Store, -1, {0}, 0, 2));
     for (uint32_t c = 1; c < 3; ++c) {
-        p.chips[c].instrs.push_back(make(Opcode::Load, 0, {}, 0, 1));
-        Instruction a = make(Opcode::Agg, 5, {0}, 0);
-        a.tag = 77;
-        a.part_lo = 1;
-        a.part_hi = 3;
-        p.chips[c].instrs.push_back(a);
+        add(p.chips[c], make(Opcode::Load, 0, {}, 0, 1));
+        Spec a = make(Opcode::Agg, 5, {0}, 0);
+        a.ins.tag = 77;
+        a.ins.part_lo = 1;
+        a.ins.part_hi = 3;
+        add(p.chips[c], a);
     }
     emu.run(p);
     EXPECT_EQ(emu.memory(0).at(2).data, limb.data);

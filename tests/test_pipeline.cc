@@ -8,7 +8,8 @@
  *    by running tests/golden_util.h's compileRunHash against commit
  *    bc3eb2b (the last monolithic-lowering revision).
  * 2. Determinism: serial (compile_workers = 1) and parallel
- *    compilation emit byte-identical machine programs.
+ *    compilation emit byte-identical machine programs and identical
+ *    preload tables.
  * 3. The inter-pass verifiers reject malformed IR with VerifyError.
  * 4. The --dump-ir hook surfaces every materialized stage.
  * 5. Listing pins: the limb and lower-isa listings of the kernel set
@@ -189,11 +190,12 @@ TEST(Pipeline, LoweringListingsPinned)
         uint64_t isa = hashes["isa"];
         for (const auto &chip : out.machine.chips) {
             for (const isa::Instruction &ins : chip.instrs) {
+                const auto aux = chip.aux(ins);
                 for (uint64_t v : {uint64_t{ins.part_lo},
                                    uint64_t{ins.part_hi},
-                                   uint64_t{ins.aux.size()}})
+                                   uint64_t{aux.size()}})
                     isa = testutil::fnv1aBytes(&v, sizeof(v), isa);
-                for (uint32_t a : ins.aux)
+                for (uint32_t a : aux)
                     isa = testutil::fnv1aBytes(&a, sizeof(a), isa);
             }
         }
@@ -203,37 +205,90 @@ TEST(Pipeline, LoweringListingsPinned)
     }
 }
 
+/** Every field of two preload tables, chip by chip, load by load. */
+void
+expectSamePreload(const compiler::PreloadTable &a,
+                  const compiler::PreloadTable &b)
+{
+    ASSERT_EQ(a.chips.size(), b.chips.size());
+    for (std::size_t c = 0; c < a.chips.size(); ++c) {
+        ASSERT_EQ(a.chips[c].size(), b.chips[c].size()) << "chip " << c;
+        for (std::size_t i = 0; i < a.chips[c].size(); ++i) {
+            const auto &x = a.chips[c][i];
+            const auto &y = b.chips[c][i];
+            EXPECT_TRUE(x.addr == y.addr && x.kind == y.kind &&
+                        x.dirtied == y.dirtied && x.poly == y.poly &&
+                        x.prime == y.prime && x.source == y.source &&
+                        x.digit == y.digit && x.pos == y.pos)
+                << "chip " << c << " load " << i;
+        }
+    }
+    EXPECT_EQ(a.footprint, b.footprint);
+    EXPECT_EQ(a.inputs, b.inputs);
+    ASSERT_EQ(a.plains.size(), b.plains.size());
+    for (std::size_t i = 0; i < a.plains.size(); ++i) {
+        EXPECT_EQ(a.plains[i].name, b.plains[i].name);
+        EXPECT_EQ(a.plains[i].level, b.plains[i].level);
+        EXPECT_EQ(a.plains[i].scale, b.plains[i].scale);
+    }
+    ASSERT_EQ(a.keys.size(), b.keys.size());
+    for (std::size_t k = 0; k < a.keys.size(); ++k) {
+        EXPECT_EQ(a.keys[k].identity, b.keys[k].identity);
+        EXPECT_EQ(a.keys[k].galois, b.keys[k].galois);
+        EXPECT_EQ(a.keys[k].chip_digits, b.keys[k].chip_digits);
+        EXPECT_EQ(a.keys[k].group_size, b.keys[k].group_size);
+        EXPECT_EQ(a.keys[k].limbs, b.keys[k].limbs) << "key " << k;
+    }
+}
+
 TEST(Pipeline, ParallelMatchesSerial)
 {
     CkksHarness h(1 << 10, 16, 4);
     auto cases = testutil::goldenKernels(*h.ctx);
-    const auto &kernel = cases[2].prog; // helr_mv
-    auto prog = compiler::replicateStreams(kernel, 4);
-
-    auto compileWith = [&](std::size_t workers) {
-        CompilerConfig cfg;
-        cfg.chips = 8;
-        cfg.num_streams = 4;
-        cfg.phys_regs = 64;
-        cfg.compile_workers = workers;
-        compiler::Compiler comp(*h.ctx, cfg);
-        return comp.compile(prog);
+    struct Shape
+    {
+        const compiler::Program *kernel;
+        std::size_t chips;
+        int streams;
     };
-    const auto serial = compileWith(1);
-    const auto parallel = compileWith(4);
+    const Shape shapes[] = {
+        {&cases[2].prog, 8, 4},  // helr_mv
+        {&cases[0].prog, 12, 3}, // bootstrap, three 4-chip streams
+    };
+    for (const Shape &shape : shapes) {
+        SCOPED_TRACE(shape.kernel->name() + " chips=" +
+                     std::to_string(shape.chips));
+        auto prog = compiler::replicateStreams(*shape.kernel,
+                                               shape.streams);
+        auto compileWith = [&](std::size_t workers) {
+            CompilerConfig cfg;
+            cfg.chips = shape.chips;
+            cfg.num_streams = shape.streams;
+            cfg.phys_regs = 64;
+            cfg.compile_workers = workers;
+            compiler::Compiler comp(*h.ctx, cfg);
+            return comp.compile(prog);
+        };
+        const auto serial = compileWith(1);
+        const auto parallel = compileWith(0); // the whole pool
 
-    // Byte-identical machine programs, not merely equivalent ones.
-    ASSERT_EQ(serial.machine.chips.size(),
-              parallel.machine.chips.size());
-    EXPECT_EQ(compiler::printIsaProgram(serial),
-              compiler::printIsaProgram(parallel));
-    EXPECT_EQ(serial.machine.num_virtual_regs,
-              parallel.machine.num_virtual_regs);
-    EXPECT_EQ(serial.data.size(), parallel.data.size());
-    EXPECT_EQ(serial.regalloc.spill_stores,
-              parallel.regalloc.spill_stores);
-    EXPECT_EQ(serial.regalloc.spill_loads,
-              parallel.regalloc.spill_loads);
+        // Byte-identical machine programs, not merely equivalent
+        // ones, and the same preload table.
+        ASSERT_EQ(serial.machine.chips.size(),
+                  parallel.machine.chips.size());
+        EXPECT_EQ(compiler::printIsaProgram(serial),
+                  compiler::printIsaProgram(parallel));
+        EXPECT_EQ(serial.machine.num_virtual_regs,
+                  parallel.machine.num_virtual_regs);
+        EXPECT_EQ(serial.data.size(), parallel.data.size());
+        EXPECT_EQ(serial.regalloc.spill_stores,
+                  parallel.regalloc.spill_stores);
+        EXPECT_EQ(serial.regalloc.spill_loads,
+                  parallel.regalloc.spill_loads);
+        EXPECT_EQ(serial.regalloc.max_live,
+                  parallel.regalloc.max_live);
+        expectSamePreload(serial.preload, parallel.preload);
+    }
 }
 
 TEST(Pipeline, PassNamesAndOrder)

@@ -750,6 +750,53 @@ TEST(Queue, PopBatchLingersForLateCompatibleArrivals)
     EXPECT_LT(waited_ms, 5000.0);
 }
 
+TEST(Queue, IncompatibleArrivalDuringLingerReachesAnIdleConsumer)
+{
+    // Consumer A holds a Bert request and lingers 2 s for a second
+    // one; consumer B waits idle. A Helr arrival is of no use to A,
+    // so it must wake B, not A, and leave the queue at once.
+    const auto same_workload = [](const Request &a, const Request &b) {
+        return a.workload == b.workload;
+    };
+    RequestQueue q(8);
+    Request head;
+    head.id = 1;
+    head.workload = Workload::Bert;
+    ASSERT_TRUE(q.submit(head));
+
+    std::vector<Request> a_batch;
+    std::thread a([&] { a_batch = q.popBatch(2, 2000.0, same_workload); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::vector<Request> b_batch;
+    double b_ms = -1.0;
+    std::atomic<bool> b_done{false};
+    std::thread b([&] {
+        b_batch = q.popBatch(1, 0.0, same_workload);
+        b_ms = msSince(b_batch.empty() ? Clock::now()
+                                       : b_batch.front().admitted);
+        b_done = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    Request other;
+    other.id = 2;
+    other.workload = Workload::Helr;
+    ASSERT_TRUE(q.submit(other));
+    // A consumer that missed its wake-up waits for the close below.
+    for (int i = 0; i < 100 && !b_done; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    q.close(); // also cuts A's linger short
+    b.join();
+    a.join();
+
+    ASSERT_EQ(b_batch.size(), 1u);
+    EXPECT_EQ(b_batch[0].id, 2u);
+    EXPECT_LT(b_ms, 250.0)
+        << "the idle consumer must take the arrival while A lingers";
+    ASSERT_EQ(a_batch.size(), 1u);
+    EXPECT_EQ(a_batch[0].id, 1u);
+}
+
 TEST(Scheduler, GroupLeaseSelfMoveAssignmentKeepsTheLease)
 {
     // Regression: operator=(GroupLease&&) without a self-move guard

@@ -2,20 +2,27 @@
  * @file
  * TaskPool contract tests: static partitioning, nested-submission
  * deadlock freedom, deterministic lowest-index exception selection,
- * resize, and a parallelism cap of 1 running serially on the caller
- * with the same results as a pooled run. The exception-determinism
- * tests pin that workers=1 and workers=N surface the same exception.
+ * resize, a parallelism cap of 1 running serially on the caller
+ * with the same results as a pooled run, and the CPU binding rule.
+ * The exception-determinism tests pin that workers=1 and workers=N
+ * surface the same exception.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <pthread.h>
+#include <sched.h>
+
+#include "common/metrics.h"
 #include "common/task_pool.h"
 
 using namespace cinnamon;
@@ -241,4 +248,104 @@ TEST(TaskPool, CappedExceptionSelectionMatchesSerial)
     pool.resize(restore);
     EXPECT_EQ(serial_what, "idx 901");
     EXPECT_EQ(pooled_what, serial_what);
+}
+
+namespace {
+
+/**
+ * The affinity mask of every pool worker, read through
+ * pthread_getaffinity_np inside one job of parallelism() chunks in
+ * which each chunk waits for all the others: no thread can hold two
+ * chunks, so every worker runs exactly one.
+ */
+std::vector<cpu_set_t>
+workerMasks(TaskPool &pool)
+{
+    const std::size_t par = pool.parallelism();
+    const auto submitter = std::this_thread::get_id();
+    std::vector<cpu_set_t> masks(par);
+    std::vector<char> is_worker(par, 0);
+    std::atomic<std::size_t> arrived{0};
+    pool.forEach(par, [&](std::size_t i) {
+        CPU_ZERO(&masks[i]);
+        pthread_getaffinity_np(pthread_self(), sizeof(cpu_set_t),
+                               &masks[i]);
+        is_worker[i] = std::this_thread::get_id() != submitter;
+        arrived.fetch_add(1);
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (arrived.load() < par &&
+               std::chrono::steady_clock::now() < give_up)
+            std::this_thread::yield();
+    });
+    std::vector<cpu_set_t> out;
+    for (std::size_t i = 0; i < par; ++i) {
+        if (is_worker[i])
+            out.push_back(masks[i]);
+    }
+    return out;
+}
+
+double
+boundGauge()
+{
+    return MetricsRegistry::global().gauge("pool.workers_bound").value();
+}
+
+} // namespace
+
+TEST(TaskPool, WorkersBindToDistinctCpusWhenTheMaskHasRoom)
+{
+    cpu_set_t process;
+    CPU_ZERO(&process);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(process), &process), 0);
+    const int cpus = CPU_COUNT(&process);
+    if (cpus < 2)
+        GTEST_SKIP() << "the process mask has " << cpus << " CPU";
+    int first = 0;
+    while (!CPU_ISSET(first, &process))
+        ++first;
+
+    // Room: one worker per CPU besides the spawner's. The spawner is
+    // pinned to `first`, so that is the CPU no worker may take.
+    std::vector<cpu_set_t> masks;
+    std::size_t workers = 0;
+    double bound = -1.0;
+    std::thread spawner([&] {
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(first, &one);
+        pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+        TaskPool pool(static_cast<std::size_t>(cpus));
+        workers = pool.parallelism() - 1;
+        bound = boundGauge();
+        masks = workerMasks(pool);
+    });
+    spawner.join();
+    ASSERT_EQ(masks.size(), workers);
+    EXPECT_EQ(bound, static_cast<double>(workers));
+    std::set<int> taken;
+    for (const cpu_set_t &m : masks) {
+        ASSERT_EQ(CPU_COUNT(&m), 1) << "a worker is bound to one CPU";
+        int cpu = 0;
+        while (!CPU_ISSET(cpu, &m))
+            ++cpu;
+        EXPECT_NE(cpu, first) << "the spawner's CPU stays free";
+        EXPECT_TRUE(CPU_ISSET(cpu, &process));
+        taken.insert(cpu);
+    }
+    EXPECT_EQ(taken.size(), workers) << "workers share no CPU";
+
+    // No room: one worker more than the CPUs besides the spawner's,
+    // so none is bound and each keeps the mask it inherited.
+    TaskPool crowded(static_cast<std::size_t>(cpus) + 1);
+    EXPECT_EQ(boundGauge(), 0.0);
+    const auto crowded_masks = workerMasks(crowded);
+    ASSERT_EQ(crowded_masks.size(), static_cast<std::size_t>(cpus));
+    for (const cpu_set_t &m : crowded_masks)
+        EXPECT_TRUE(CPU_EQUAL(&m, &process));
+
+    // resize() applies the rule again.
+    crowded.resize(2);
+    EXPECT_EQ(boundGauge(), 1.0);
 }
