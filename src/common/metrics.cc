@@ -178,13 +178,4 @@ MetricsRegistry::jsonSnapshot(const std::string &prefix) const
     return out.str();
 }
 
-void
-MetricsRegistry::reset()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_.clear();
-    gauges_.clear();
-    histograms_.clear();
-}
-
 } // namespace cinnamon

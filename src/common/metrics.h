@@ -113,9 +113,6 @@ class MetricsRegistry
     /** {"counters":{…},"gauges":{…},"histograms":{…}}. */
     std::string jsonSnapshot(const std::string &prefix = "") const;
 
-    /** Drop every instrument (tests only). */
-    void reset();
-
   private:
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -32,12 +32,12 @@
  *    rest.
  *
  *  - Nested-submission safety. A pool worker may submit a sub-range
- *    mid-chunk (the emulator's limb slicing does): the nested job is
- *    enqueued and the submitter *assists* — it claims and runs its
- *    own job's chunks until none remain, then waits for stragglers.
- *    Idle workers pick nested chunks up too, so a 1-chip program on
- *    an 8-way pool still fans its limb slices out. The submitter can
- *    always drain its own job, so nesting never deadlocks.
+ *    mid-chunk: the nested job is enqueued and the submitter
+ *    *assists* — it claims and runs its own job's chunks until none
+ *    remain, then waits for stragglers. Idle workers pick nested
+ *    chunks up too. The submitter can always drain its own job, so
+ *    nesting never deadlocks. No caller in src/ nests today; the
+ *    guarantee (and its tests) keeps a future one safe.
  *
  * CPU binding. When the pool spawns its workers (at construction and
  * on resize()), it reads the process's affinity mask. If the mask

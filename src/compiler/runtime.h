@@ -113,8 +113,9 @@ class ProgramRuntime
     const isa::EmulatorStats &lastStats() const { return last_stats_; }
 
     /**
-     * Worker threads for the emulator's inter-collective chip advance
-     * (default 1; results are bit-identical at any count).
+     * Cap on chips the emulator advances at once between collectives
+     * (Emulator::setWorkers: default 1, 0 = the shared pool; results
+     * are bit-identical at any count).
      */
     void setEmulatorWorkers(std::size_t w) { emu_workers_ = w; }
 

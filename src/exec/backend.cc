@@ -120,7 +120,7 @@ EmulateBackend::executeSeededBatch(
     const fhe::CkksContext &ctx, const fhe::Encoder &encoder,
     const compiler::Program &source,
     const compiler::CompiledProgram &program,
-    const std::vector<uint64_t> &seeds, std::size_t workers,
+    const std::vector<uint64_t> &seeds,
     const faults::FaultDecision *fault, std::size_t fault_member,
     isa::EmulatorCache *cache)
 {
@@ -183,7 +183,7 @@ EmulateBackend::executeSeededBatch(
         runtime.armFault(victim, fault->at_fraction);
     }
 
-    EmulateBackend backend(runtime, workers);
+    EmulateBackend backend(runtime, /*workers=*/0);
     auto batched = backend.execute(program);
 
     // Fan the shared output map back out per member, stripping the

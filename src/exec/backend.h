@@ -132,7 +132,8 @@ class EmulateBackend final : public ExecutionBackend
      * k's outputs (names stripped of the "@k" replica suffix) hash to
      * the same digest an unbatched run of `source` under seeds[k]
      * would produce, bit for bit. Returns one report per member, in
-     * seed order.
+     * seed order. Chips advance on the whole shared TaskPool, which
+     * never changes a digest.
      *
      * When `fault` carries a chip failure it is mapped into member
      * `fault_member`'s chip span; the victim chip then throws
@@ -147,7 +148,6 @@ class EmulateBackend final : public ExecutionBackend
                        const compiler::Program &source,
                        const compiler::CompiledProgram &program,
                        const std::vector<uint64_t> &seeds,
-                       std::size_t workers = 1,
                        const faults::FaultDecision *fault = nullptr,
                        std::size_t fault_member = 0,
                        isa::EmulatorCache *cache = nullptr);

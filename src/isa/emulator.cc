@@ -11,15 +11,6 @@
 #include "rns/kernels.h"
 
 namespace cinnamon::isa {
-namespace {
-
-/**
- * Minimum elements per limb slice: below this the nested-job overhead
- * beats the win, so small rings stay unsliced.
- */
-constexpr std::size_t kSliceGrain = 4096;
-
-} // namespace
 
 void
 ChipMemory::reserve(std::size_t limbs)
@@ -42,9 +33,10 @@ ChipMemory::clear()
     slots_.clear();
 }
 
-uint64_t *
-ChipMemory::slotFor(uint64_t addr, uint32_t prime)
+void
+ChipMemory::store(uint64_t addr, uint32_t prime, rns::ConstLimbSpan data)
 {
+    CINN_ASSERT(data.size() == n_, "store: limb length mismatch");
     auto it = slots_.find(addr);
     uint32_t slot;
     if (it == slots_.end()) {
@@ -56,15 +48,8 @@ ChipMemory::slotFor(uint64_t addr, uint32_t prime)
         slot = it->second;
         primes_[slot] = prime;
     }
-    return arena_.data() + static_cast<std::size_t>(slot) * n_;
-}
-
-void
-ChipMemory::store(uint64_t addr, uint32_t prime, rns::ConstLimbSpan data)
-{
-    CINN_ASSERT(data.size() == n_, "store: limb length mismatch");
-    std::memcpy(slotFor(addr, prime), data.data(),
-                n_ * sizeof(uint64_t));
+    std::memcpy(arena_.data() + static_cast<std::size_t>(slot) * n_,
+                data.data(), n_ * sizeof(uint64_t));
 }
 
 LimbRef
@@ -121,29 +106,6 @@ Emulator::resetMemory()
     for (RegFile &rf : regs_)
         rf.clearDefined();
     clearFault();
-}
-
-/**
- * Partition [0, n) into slices_ contiguous ranges and run them as a
- * nested pool job. Boundaries are the pool's static-partition formula,
- * so they depend only on (n, slices_) — never on timing.
- */
-template <typename Fn>
-void
-Emulator::sliceFor(std::size_t n, Fn &&fn)
-{
-    if (slices_ <= 1 || n < 2 * kSliceGrain) {
-        fn(0, n);
-        return;
-    }
-    sliced_ops_.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t slices = slices_;
-    TaskPool::global().forEach(slices, [&](std::size_t s) {
-        const std::size_t lo = s * n / slices;
-        const std::size_t hi = (s + 1) * n / slices;
-        if (lo < hi)
-            fn(lo, hi);
-    });
 }
 
 LimbRef
@@ -239,19 +201,14 @@ Emulator::execute(std::size_t chip, const ChipProgram &prog,
         }
         uint64_t *d = dstPlane();
         const LimbRef m = mem_[chip].at(ins.imm);
-        const uint64_t *a = m.data.data();
-        sliceFor(n, [&](std::size_t lo, std::size_t hi) {
-            std::memcpy(d + lo, a + lo, (hi - lo) * sizeof(uint64_t));
-        });
+        std::memcpy(d, m.data.data(), n * sizeof(uint64_t));
         commitDst(m.prime);
         break;
       }
       case Opcode::Store: {
         const uint64_t *a = srcPlane(chip, prog, pc, 0);
-        uint64_t *d = mem_[chip].slotFor(ins.imm, srcPrime(0));
-        sliceFor(n, [&](std::size_t lo, std::size_t hi) {
-            std::memcpy(d + lo, a + lo, (hi - lo) * sizeof(uint64_t));
-        });
+        mem_[chip].store(ins.imm, srcPrime(0),
+                         rns::ConstLimbSpan(a, n));
         break;
       }
       case Opcode::Ntt:
@@ -261,12 +218,8 @@ Emulator::execute(std::size_t chip, const ChipProgram &prog,
         CINN_ASSERT(srcPrime(0) == ins.prime,
                     (ins.op == Opcode::Ntt ? "ntt" : "intt")
                         << " prime mismatch");
-        if (d != a) {
-            sliceFor(n, [&](std::size_t lo, std::size_t hi) {
-                std::memcpy(d + lo, a + lo,
-                            (hi - lo) * sizeof(uint64_t));
-            });
-        }
+        if (d != a)
+            std::memcpy(d, a, n * sizeof(uint64_t));
         if (ins.op == Opcode::Ntt)
             ctx_->rns().ntt(ins.prime).forward(d);
         else
@@ -284,14 +237,12 @@ Emulator::execute(std::size_t chip, const ChipProgram &prog,
                         srcPrime(1) == ins.prime,
                     "binary op prime mismatch: "
                         << prog.toString(ins));
-        sliceFor(n, [&](std::size_t lo, std::size_t hi) {
-            if (ins.op == Opcode::Add)
-                kt.add(d + lo, a + lo, b + lo, hi - lo, q);
-            else if (ins.op == Opcode::Sub)
-                kt.sub(d + lo, a + lo, b + lo, hi - lo, q);
-            else
-                kt.mul(d + lo, a + lo, b + lo, hi - lo, mod);
-        });
+        if (ins.op == Opcode::Add)
+            kt.add(d, a, b, n, q);
+        else if (ins.op == Opcode::Sub)
+            kt.sub(d, a, b, n, q);
+        else
+            kt.mul(d, a, b, n, mod);
         commitDst(ins.prime);
         break;
       }
@@ -306,18 +257,15 @@ Emulator::execute(std::size_t chip, const ChipProgram &prog,
         const uint64_t s_shoup = ins.op == Opcode::MulScalar
             ? rns::shoupPrecompute(s, q)
             : 0;
-        sliceFor(n, [&](std::size_t lo, std::size_t hi) {
-            if (ins.op == Opcode::MulScalar) {
-                kt.mulScalarShoup(d + lo, a + lo, hi - lo, s, s_shoup,
-                                  q);
-            } else {
-                for (std::size_t j = lo; j < hi; ++j) {
-                    d[j] = ins.op == Opcode::AddScalar
-                        ? rns::addMod(a[j], s, q)
-                        : rns::subMod(a[j], s, q);
-                }
+        if (ins.op == Opcode::MulScalar) {
+            kt.mulScalarShoup(d, a, n, s, s_shoup, q);
+        } else {
+            for (std::size_t j = 0; j < n; ++j) {
+                d[j] = ins.op == Opcode::AddScalar
+                    ? rns::addMod(a[j], s, q)
+                    : rns::subMod(a[j], s, q);
             }
-        });
+        }
         commitDst(ins.prime);
         break;
       }
@@ -371,20 +319,10 @@ Emulator::execute(std::size_t chip, const ChipProgram &prog,
             scratch_[chip].resize(n);
             acc = scratch_[chip].data();
         }
-        sliceFor(n, [&](std::size_t lo, std::size_t hi) {
-            std::memset(acc + lo, 0, (hi - lo) * sizeof(uint64_t));
-            const uint64_t *sp_lo[64];
-            for (std::size_t i = 0; i < fan; ++i)
-                sp_lo[i] = sp[i] + lo;
-            kt.macMulti(acc + lo, sp_lo, fs, fan, hi - lo, mod,
-                        src_bound);
-        });
-        if (aliases) {
-            sliceFor(n, [&](std::size_t lo, std::size_t hi) {
-                std::memcpy(d + lo, acc + lo,
-                            (hi - lo) * sizeof(uint64_t));
-            });
-        }
+        std::memset(acc, 0, n * sizeof(uint64_t));
+        kt.macMulti(acc, sp, fs, fan, n, mod, src_bound);
+        if (aliases)
+            std::memcpy(d, acc, n * sizeof(uint64_t));
         commitDst(ins.prime);
         break;
       }
@@ -394,9 +332,7 @@ Emulator::execute(std::size_t chip, const ChipProgram &prog,
         const uint64_t *a = srcPlane(chip, prog, pc, 0);
         CINN_ASSERT(srcPrime(0) == aux[0],
                     "mod source prime mismatch");
-        sliceFor(n, [&](std::size_t lo, std::size_t hi) {
-            kt.modReduce(d + lo, a + lo, hi - lo, q);
-        });
+        kt.modReduce(d, a, n, q);
         commitDst(ins.prime);
         break;
       }
@@ -442,37 +378,21 @@ Emulator::executeCollective(const MachineProgram &program,
     } else { // Agg
         const rns::Modulus &mod = ctx_->rns().modulus(first.prime);
         const rns::KernelTable &kt = rns::kernels();
-        value.resize(n);
-        // Resolve (and fault-check) every participant's source before
-        // slicing; the accumulation itself is elementwise, so each
-        // slice runs the full chip chain over its own range — the
-        // per-index arithmetic order matches the serial path exactly.
-        std::vector<const uint64_t *> srcs;
-        srcs.reserve(hi - lo);
+        value.assign(n, 0);
         for (std::size_t c = lo; c < hi; ++c) {
             const ChipProgram &prog = program.chips[c];
-            srcs.push_back(srcPlane(c, prog, pcs[c], 0));
+            const uint64_t *a = srcPlane(c, prog, pcs[c], 0);
             const int r = prog.srcs(prog.instrs[pcs[c]])[0];
             CINN_ASSERT(regs_[c].primes[r] == first.prime,
                         "aggregation prime mismatch");
+            kt.add(value.data(), value.data(), a, n, mod.value());
         }
-        uint64_t *v = value.data();
-        sliceFor(n, [&](std::size_t slo, std::size_t shi) {
-            std::memset(v + slo, 0, (shi - slo) * sizeof(uint64_t));
-            for (const uint64_t *a : srcs)
-                kt.add(v + slo, v + slo, a + slo, shi - slo,
-                       mod.value());
-        });
     }
     for (std::size_t c = lo; c < hi; ++c) {
         const Instruction &ins = program.chips[c].instrs[pcs[c]];
         if (ins.dst >= 0) {
             uint64_t *d = regs_[c].ensure(ins.dst);
-            const uint64_t *v = value.data();
-            sliceFor(n, [&](std::size_t slo, std::size_t shi) {
-                std::memcpy(d + slo, v + slo,
-                            (shi - slo) * sizeof(uint64_t));
-            });
+            std::memcpy(d, value.data(), n * sizeof(uint64_t));
             regs_[c].primes[ins.dst] = value_prime;
             regs_[c].defined[ins.dst] = 1;
         }
@@ -487,24 +407,13 @@ Emulator::run(const MachineProgram &program)
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<std::size_t> pcs(chips_, 0);
 
-    // Effective parallelism budget: workers_ capped by the shared
-    // pool (0 = take the pool's size). Chips consume the budget
-    // first; what is left over slices limb planes. slices_ is a pure
-    // function of (workers_, pool size, chips_, n) — never of timing
-    // — and slicing never changes results, only wall clock.
-    const std::size_t pool_par = TaskPool::global().parallelism();
-    std::size_t budget =
-        workers_ == 0 ? pool_par : std::min(workers_, pool_par);
-    if (budget == 0)
-        budget = 1;
-    slices_ = 1;
-    if (budget > chips_ && ctx_->n() >= 2 * kSliceGrain) {
-        slices_ = (budget + chips_ - 1) / chips_;
-        const std::size_t max_slices =
-            std::max<std::size_t>(1, ctx_->n() / kSliceGrain);
-        slices_ = std::min(slices_, max_slices);
-    }
-    sliced_ops_.store(0, std::memory_order_relaxed);
+    // Chips that advance at once: the shared pool's parallelism and
+    // the chip count, capped by workers_ (0 = no cap). forEach below
+    // runs exactly this many participants.
+    std::size_t advancing =
+        std::min(TaskPool::global().parallelism(), chips_);
+    if (workers_ != 0)
+        advancing = std::min(advancing, workers_);
 
     // Pre-size each chip's register file to the stream's highest
     // destination register: one allocation up front instead of many
@@ -520,8 +429,8 @@ Emulator::run(const MachineProgram &program)
     while (true) {
         // Advance every chip to its next collective (or the end);
         // chips share no mutable state here, so the advance runs on
-        // the worker pool when workers_ > 1 with identical results.
-        TaskPool::global().forEach(chips_, workers_, [&](auto c) {
+        // the worker pool when advancing > 1 with identical results.
+        TaskPool::global().forEach(chips_, advancing, [&](auto c) {
             const auto &instrs = program.chips[c].instrs;
             while (pcs[c] < instrs.size() &&
                    !isCollective(instrs[pcs[c]].op)) {
@@ -591,20 +500,8 @@ Emulator::run(const MachineProgram &program)
         static_cast<double>(run_total));
     reg.gauge("emulator.arena_bytes").set(
         static_cast<double>(arenaBytes()));
-    reg.gauge("emulator.workers").set(static_cast<double>(workers_));
+    reg.gauge("emulator.workers").set(static_cast<double>(advancing));
     reg.histogram("emulator.run_ms").observe(run_ms);
-    const std::size_t sliced =
-        sliced_ops_.load(std::memory_order_relaxed);
-    reg.gauge("emulator.slice.slices").set(
-        static_cast<double>(slices_));
-    reg.counter("emulator.slice.sliced_ops").add(
-        static_cast<double>(sliced));
-    // Occupancy: fraction of this run's instructions that fanned out.
-    if (run_total > 0) {
-        reg.gauge("emulator.slice.occupancy")
-            .set(static_cast<double>(sliced) /
-                 static_cast<double>(run_total));
-    }
 }
 
 std::unique_ptr<Emulator>

@@ -14,17 +14,10 @@
  * limb-major buffer — no per-limb heap allocation on the execution
  * path. Between collective rendezvous points chips share no state, so
  * run() advances them on the shared TaskPool; serial and parallel
- * execution are bit-identical by construction.
- *
- * Intra-op limb slicing (second parallelism axis): when the pool has
- * more workers than the program has chips, each elementwise
- * instruction's limb plane is split into contiguous slices executed
- * as a nested pool job — chip workers assist on their own slices and
- * idle workers steal the rest. Every output element is produced by
- * exactly one slice with the same arithmetic as the serial path, so
- * sliced execution is bit-identical to serial by construction (NTT
- * butterflies and the automorphism permutation span the whole plane
- * and stay unsliced).
+ * execution are bit-identical by construction. Chips are the only
+ * parallel axis, as in the machine (limbs on different chips meet
+ * only at collectives): each instruction runs its kernel once over
+ * the whole limb plane, so a 1-chip program never uses the pool.
  *
  * Data-dependent faults (unmapped loads, reads of never-written
  * registers) throw EmulatorError carrying the opcode, chip, and
@@ -35,7 +28,6 @@
 #ifndef CINNAMON_ISA_EMULATOR_H_
 #define CINNAMON_ISA_EMULATOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -124,13 +116,6 @@ class ChipMemory
         store(addr, limb.prime, limb.data);
     }
 
-    /**
-     * Slot bookkeeping for store() without the copy: maps `addr` (or
-     * re-tags an existing mapping) and returns the destination plane.
-     * The emulator uses this to slice the copy across pool workers.
-     */
-    uint64_t *slotFor(uint64_t addr, uint32_t prime);
-
     /** View of the limb at `addr`; asserts the address is mapped. */
     LimbRef at(uint64_t addr) const;
 
@@ -169,8 +154,9 @@ struct EmulatorStats
  * All chips' streams must contain every collective (Bcast/Agg) in the
  * same order with matching tags; the emulator advances each chip to
  * its next collective, resolves it, and repeats. Chips advance on up
- * to workers() threads; results are bit-identical at any worker count
- * because chips share no mutable state between rendezvous points.
+ * to setWorkers() threads; results are bit-identical at any worker
+ * count because chips share no mutable state between rendezvous
+ * points.
  */
 class Emulator
 {
@@ -193,14 +179,13 @@ class Emulator
     void resetMemory();
 
     /**
-     * Parallelism budget for this run: chips advance concurrently and
-     * any leftover budget slices each instruction's limb plane across
-     * idle pool workers. Default 1 (fully serial on the caller's
-     * thread); 0 means "whatever the shared TaskPool has". The budget
-     * never changes results — see the limb-slicing note above.
+     * Cap on how many chips advance at once. Default 1 (fully serial
+     * on the caller's thread); 0 means "whatever the shared TaskPool
+     * has". A run advances min(cap, pool parallelism, chips) chips at
+     * once (booked as emulator.workers); the cap never changes
+     * results.
      */
     void setWorkers(std::size_t workers) { workers_ = workers; }
-    std::size_t workers() const { return workers_; }
 
     /**
      * Arm an injected chip failure: chip `chip` throws EmulatorError
@@ -262,14 +247,6 @@ class Emulator
     void execute(std::size_t chip, const ChipProgram &prog,
                  std::size_t pc);
 
-    /**
-     * Run fn(lo, hi) over a partition of [0, n): inline when slicing
-     * is off for this run, else as a nested pool job of `slices_`
-     * contiguous ranges. Bit-identity: each element is produced by
-     * exactly one slice with the serial path's arithmetic.
-     */
-    template <typename Fn> void sliceFor(std::size_t n, Fn &&fn);
-
     /** Execute one collective across chips [lo, hi). */
     void executeCollective(const MachineProgram &program,
                            const std::vector<std::size_t> &pcs,
@@ -286,10 +263,6 @@ class Emulator
     const fhe::CkksContext *ctx_;
     std::size_t chips_;
     std::size_t workers_ = 1;
-    /** Limb slices per elementwise op this run (1 = no slicing). */
-    std::size_t slices_ = 1;
-    /** Instructions that ran sliced this run (across chips). */
-    std::atomic<std::size_t> sliced_ops_{0};
     std::vector<RegFile> regs_;
     std::vector<ChipMemory> mem_;
     /** Per-chip scratch plane (automorph/bconv aliasing). */

@@ -195,11 +195,11 @@ RequestExecutor::probe(
     double compile_ms = 0.0;
     const auto &program =
         plans_.get(catalog_.batchedProbe(k), cfg, &compile_ms);
-    // workers=0: take the shared pool's full parallelism — idle
-    // capacity slices limb planes, results unchanged.
+    // The members' chips advance together on the shared pool between
+    // collectives; no digest depends on how many run at once.
     const auto reports = exec::EmulateBackend::executeSeededBatch(
-        *ctx_, encoder_, catalog_.probe(), program, seeds, 0,
-        chip_fault, fault_member, &emu_cache_);
+        *ctx_, encoder_, catalog_.probe(), program, seeds, chip_fault,
+        fault_member, &emu_cache_);
     for (std::size_t i = 0; i < k; ++i) {
         out[i].digest = reports[i].digest;
         out[i].compile_ms += compile_ms;

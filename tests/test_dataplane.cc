@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/metrics.h"
@@ -202,7 +203,14 @@ TEST(EmulatorParallel, PoolExecutionBitIdenticalToSerial)
 {
     // Chip-parallel execution (worker pool, rendezvous between
     // collectives) must be indistinguishable from the serial schedule.
-    EXPECT_EQ(probeDigest(2, 1), probeDigest(2, 4));
+    const uint64_t serial = probeDigest(2, 1);
+    EXPECT_EQ(serial, probeDigest(2, 4));
+    // The 4-chip probe advanced as many chips at once as the cap of 4
+    // and the pool allow.
+    EXPECT_EQ(MetricsRegistry::global().gauge("emulator.workers").value(),
+              static_cast<double>(
+                  std::min<std::size_t>(TaskPool::global().parallelism(),
+                                        4)));
 }
 
 TEST(KernelBackends, ScalarAlwaysRegistered)
@@ -425,12 +433,12 @@ TEST(KernelBackends, GatherKernelsMatchScalarAtPowerOfTwoN)
     }
 }
 
-TEST(EmulatorParallel, LimbSlicedExecutionBitIdenticalToSerial)
+TEST(EmulatorParallel, SingleChipRunSubmitsNoPoolJob)
 {
-    // A 1-chip program on a multi-worker pool fans each instruction's
-    // limb plane across idle workers (n >= 8192 engages slicing).
-    // Every sliced element is computed once with the serial formula,
-    // so the sliced run must reproduce the serial run bit for bit.
+    // Chips are the emulator's only parallel axis: a 1-chip program
+    // runs every instruction on the caller's thread even when the
+    // pool has idle workers and the ring is large, and still
+    // reproduces the serial run bit for bit.
     fhe::CkksContext ctx(fhe::CkksParams::makeTest(1 << 13, 8, 3));
     const uint64_t q = ctx.rns().modulus(0).value();
     Rng rng(0x51ce);
@@ -466,16 +474,12 @@ TEST(EmulatorParallel, LimbSlicedExecutionBitIdenticalToSerial)
     auto &pool = TaskPool::global();
     const std::size_t restore = pool.parallelism();
     pool.resize(4);
-    const double sliced_before =
-        MetricsRegistry::global()
-            .counter("emulator.slice.sliced_ops")
-            .value();
-    const auto sliced = runOnce(0); // 0 = take the pool's size
+    auto &metrics = MetricsRegistry::global();
+    const double jobs_before = metrics.counter("pool.jobs").value();
+    const auto pooled = runOnce(0); // 0 = take the pool's size
+    const double jobs_after = metrics.counter("pool.jobs").value();
     pool.resize(restore);
-    EXPECT_EQ(serial, sliced);
-    // Slicing must actually have engaged, or this test pins nothing.
-    EXPECT_GT(MetricsRegistry::global()
-                  .counter("emulator.slice.sliced_ops")
-                  .value(),
-              sliced_before);
+    EXPECT_EQ(serial, pooled);
+    EXPECT_EQ(jobs_after, jobs_before);
+    EXPECT_EQ(metrics.gauge("emulator.workers").value(), 1.0);
 }

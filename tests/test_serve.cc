@@ -1272,7 +1272,9 @@ TEST(BatchedExecution, DigestsBitIdenticalToUnbatchedAcrossSeeds)
     // The tentpole correctness contract: a request served as member k
     // of a batched multi-stream program must produce *exactly* the
     // digest it would have produced served alone. Keys, inputs, and
-    // encryption randomness are all derived per member.
+    // encryption randomness are all derived per member. The batch runs
+    // on the shared pool, as serving runs it; executeSeeded is the
+    // serial reference.
     const auto &ctx = serveContext();
     WorkloadCatalog catalog(ctx);
     fhe::Encoder encoder(ctx);
