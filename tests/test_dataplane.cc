@@ -205,8 +205,8 @@ TEST(EmulatorParallel, PoolExecutionBitIdenticalToSerial)
     // collectives) must be indistinguishable from the serial schedule.
     const uint64_t serial = probeDigest(2, 1);
     EXPECT_EQ(serial, probeDigest(2, 4));
-    // The 4-chip probe advanced as many chips at once as the cap of 4
-    // and the pool allow.
+    // The pooled run, which went last, advanced as many of the
+    // probe's 4 chips at once as the cap of 4 and the pool allow.
     EXPECT_EQ(MetricsRegistry::global().gauge("emulator.workers").value(),
               static_cast<double>(
                   std::min<std::size_t>(TaskPool::global().parallelism(),
