@@ -17,7 +17,11 @@ noise, tight enough to catch a real slowdown).
   compile_time.json         single JSON object; lower-is-better
                             metrics `serial_ms`, `parallel_ms` and
                             `paper_ms` (a cold compile of the
-                            N = 64K bootstrap on Cinnamon-4).
+                            N = 64K bootstrap on Cinnamon-4), and
+                            higher-is-better `paper_speedup` (that
+                            compile at compile_workers = 1 over the
+                            pooled one) only against a baseline of
+                            the same machine shape.
   serve_plan_cache          written by `serve_demo --bench-json`;
                             gated on *absolute* bounds from the
                             baseline (`steady_compile_ms_p50_max`,
@@ -83,27 +87,25 @@ def fmt_shape(shape):
     return " ".join(f"{f}={v}" for f, v in zip(SHAPE_FIELDS, shape))
 
 
-def check_speedup(key, entry, base, threshold, failures):
-    """Higher-is-better pool speed-up, between like machines only."""
+def check_speedup(label, field, entry, base, threshold, failures):
+    """Higher-is-better pool speed-up `field`, between like machines
+    only."""
     shape = machine_shape(entry)
     if shape != machine_shape(base):
-        print(f"  [skip] emulator_throughput {fmt_key(key)} "
-              f"parallel_speedup: baseline shape "
+        print(f"  [skip] {label} {field}: baseline shape "
               f"{fmt_shape(machine_shape(base))}, current "
               f"{fmt_shape(shape)}")
         return
-    cur = entry["parallel_speedup"]
-    ref = base["parallel_speedup"]
+    cur = entry[field]
+    ref = base[field]
     loss = ref / cur - 1.0 if cur > 0 else float("inf")
     status = "FAIL" if loss > threshold else "ok"
-    print(f"  [{status}] emulator_throughput {fmt_key(key)} "
-          f"parallel_speedup: {cur:.2f}x vs baseline {ref:.2f}x "
-          f"({fmt_shape(shape)})")
+    print(f"  [{status}] {label} {field}: {cur:.2f}x vs baseline "
+          f"{ref:.2f}x ({fmt_shape(shape)})")
     if loss > threshold:
         failures.append(
-            f"emulator_throughput {fmt_key(key)} parallel_speedup "
-            f"{cur:.2f}x fell {loss:.1%} below baseline {ref:.2f}x "
-            f"(> {threshold:.0%})")
+            f"{label} {field} {cur:.2f}x fell {loss:.1%} below "
+            f"baseline {ref:.2f}x (> {threshold:.0%})")
 
 
 def check_throughput(current, baseline, threshold, failures):
@@ -132,7 +134,9 @@ def check_throughput(current, baseline, threshold, failures):
             failures.append(
                 f"emulator_throughput {fmt_key(key)} regressed "
                 f"{slowdown:.1%} (> {threshold:.0%})")
-        check_speedup(key, entry, base, threshold, failures)
+        check_speedup(f"emulator_throughput {fmt_key(key)}",
+                      "parallel_speedup", entry, base, threshold,
+                      failures)
     for key in base_by_key:
         if key not in {throughput_key(e) for e in current}:
             failures.append(
@@ -155,6 +159,9 @@ def check_compile_time(current, baseline, threshold, failures):
             failures.append(
                 f"compile_time {metric} regressed {slowdown:.1%} "
                 f"(> {threshold:.0%})")
+    if "paper_speedup" in baseline:
+        check_speedup("compile_time", "paper_speedup", current, baseline,
+                      threshold, failures)
 
 
 def check_serve_plan_cache(current, baseline, threshold, failures):

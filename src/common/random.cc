@@ -17,17 +17,24 @@ constexpr uint64_t kUpperMask = 0xFFFFFFFF80000000ull;
 constexpr uint64_t kLowerMask = 0x7FFFFFFFull;
 
 /** One twist step: word i from words i, i+1 and its far partner. */
-inline uint64_t
+inline __attribute__((always_inline)) uint64_t
 twistWord(uint64_t cur, uint64_t next, uint64_t far)
 {
     const uint64_t y = (cur & kUpperMask) | (next & kLowerMask);
     return far ^ (y >> 1) ^ (-(y & 1) & kMatrixA);
 }
 
-/** Eight words per step; lowered to the width of the calling clone. */
+/**
+ * Eight words per step; lowered to the width of the calling clone.
+ * The helpers below pass Words8 by value, so they must inline into
+ * every clone: left out of line (as an unoptimized build leaves plain
+ * `inline` functions) they are compiled for the base target and the
+ * target("avx2") / target("avx512f") clones would call them with
+ * another vector ABI.
+ */
 typedef uint64_t Words8 __attribute__((vector_size(64)));
 
-inline Words8
+inline __attribute__((always_inline)) Words8
 load8(const uint64_t *p)
 {
     Words8 v;
@@ -35,20 +42,20 @@ load8(const uint64_t *p)
     return v;
 }
 
-inline void
+inline __attribute__((always_inline)) void
 store8(uint64_t *p, Words8 v)
 {
     std::memcpy(p, &v, sizeof(v));
 }
 
-inline Words8
+inline __attribute__((always_inline)) Words8
 twist8(Words8 cur, Words8 next, Words8 far)
 {
     const Words8 y = (cur & kUpperMask) | (next & kLowerMask);
     return far ^ (y >> 1) ^ (-(y & 1) & kMatrixA);
 }
 
-inline Words8
+inline __attribute__((always_inline)) Words8
 temper8(Words8 y)
 {
     y ^= (y >> 29) & 0x5555555555555555ull;

@@ -1,15 +1,21 @@
 #include "compiler/limb_ir.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <climits>
 #include <functional>
 #include <map>
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <tuple>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "common/task_pool.h"
+#include "common/trace.h"
 #include "compiler/pass.h"
 
 namespace cinnamon::compiler {
@@ -122,12 +128,52 @@ buildScalars(const PolyProgram &poly, const fhe::CkksContext &ctx,
     return s;
 }
 
+/** A placeholder for limb `limb` of a poly value an earlier segment
+ *  defines; the merge resolves it to that segment's limb value. */
+struct Import
+{
+    int value = -1; ///< the placeholder's value id in the segment
+    int poly_value = -1;
+    uint32_t limb = 0;
+};
+
 /**
- * Lowers the poly ops assigned to one LimbUnit. This is the port of
- * the pre-pipeline monolithic lowering, emitting placed SSA limb ops
- * instead of ISA instructions; the emitted dataflow graph is
- * identical op for op, which is what the golden-equivalence suite
- * pins down.
+ * One segment of a unit: a contiguous run of its poly ops, lowered by
+ * its own UnitLowerer into `part` (a unit of its own, with its own
+ * load cache, descriptor table and key tables), plus what the merge
+ * needs to splice it after the segments before it.
+ */
+struct Segment
+{
+    LimbUnit part;
+    /** [poly value id] → limb value ids; later segments import these. */
+    std::vector<std::vector<int>> limbs;
+    DescMap<int> desc_index; ///< descriptor → index in part.descs
+    std::vector<uint32_t> loads; ///< index of every Load op, ascending
+    std::vector<Import> imports; ///< ascending value id
+    double ops_est = 0.0; ///< estimated limb ops (loweringCost)
+
+    // Filled by the merge.
+    std::vector<int> desc_of; ///< segment descriptor → unit descriptor
+    /** (value, unit value id) of every import and repeated load,
+     *  ascending value: the values that get no id of their own. */
+    std::vector<std::pair<int, int>> aliases;
+    std::vector<uint32_t> dropped; ///< repeated Load ops, ascending
+    std::size_t op_at = 0, value_at = 0, operand_at = 0, prime_at = 0;
+};
+
+/**
+ * Lowers the poly ops assigned to one LimbUnit, or to one segment of
+ * it. This is the port of the pre-pipeline monolithic lowering,
+ * emitting placed SSA limb ops instead of ISA instructions; the
+ * emitted dataflow graph is identical op for op, which is what the
+ * golden-equivalence suite pins down.
+ *
+ * A segment starts empty: a poly value an earlier segment defined is
+ * an import (Import), and its loads are not cached against earlier
+ * segments' loads. Otherwise it emits exactly what the serial walk
+ * emits for those ops, which is what lets mergeSegments reproduce the
+ * serial IR.
  *
  * Emission allocates nothing per op: operand lists go to the unit's
  * pools, and every lookup table is an array indexed by value id,
@@ -136,21 +182,39 @@ buildScalars(const PolyProgram &poly, const fhe::CkksContext &ctx,
 class UnitLowerer
 {
   public:
+    /**
+     * @param def_seg [poly value id] → index of the segment defining
+     *        it; a value used before its segment is an import only if
+     *        that index is below `segment`.
+     */
     UnitLowerer(const fhe::CkksContext &ctx, const PolyProgram &poly,
                 const CompilerConfig &cfg, const Scalars &scalars,
-                const std::vector<int> &op_ids, LimbUnit &unit)
+                std::span<const int> op_ids,
+                const std::vector<int> &def_seg, int segment,
+                Segment &seg)
         : ctx_(&ctx), poly_(&poly), cfg_(cfg), scalars_(&scalars),
-          op_ids_(&op_ids), unit_(&unit),
-          unit_chips_(unit.chip_hi - unit.chip_lo),
-          key_primes_(ctx.keyBasis().size()),
-          limbs_(poly.values.size())
+          op_ids_(op_ids), def_seg_(&def_seg), segment_(segment),
+          seg_(&seg), unit_(&seg.part),
+          unit_chips_(seg.part.chip_hi - seg.part.chip_lo),
+          key_primes_(ctx.keyBasis().size()), limbs_(seg.limbs),
+          desc_index_(seg.desc_index)
     {
+        limbs_.resize(poly.values.size());
+        // Presize from the estimate (within ~25 % of the ops a unit
+        // emits; operands run ~1.5 per op). Grown by doubling, these
+        // arrays are copied and faulted in again at every step, which
+        // costs about as much as the lowering itself; reserving
+        // touches nothing the lowering does not write.
+        const auto est = static_cast<std::size_t>(seg.ops_est * 1.25);
+        unit_->ops.reserve(est);
+        unit_->values.reserve(est);
+        unit_->operands.reserve(2 * est);
     }
 
     void
     run()
     {
-        for (int idx : *op_ids_) {
+        for (int idx : op_ids_) {
             const PolyOp &op = poly_->ops[idx];
             switch (op.kind) {
             case PolyOpKind::Input:
@@ -282,6 +346,7 @@ class UnitLowerer
         op.prime = unit_->descs[d].prime;
         op.desc = d;
         op.result = unit_->newValue(chip, op.prime);
+        seg_->loads.push_back(static_cast<uint32_t>(unit_->ops.size()));
         unit_->ops.push_back(op);
         cached = op.result;
         return cached;
@@ -432,9 +497,9 @@ class UnitLowerer
     const std::vector<int> &
     limbsFor(int value_id, int stream)
     {
-        const auto &base = limbs_[value_id];
-        CINN_ASSERT(!base.empty(),
-                    "poly value " << value_id << " not lowered yet");
+        auto &base = limbs_[value_id];
+        if (base.empty())
+            base = importLimbs(value_id);
         const int vs = poly_->values[value_id].stream;
         if (vs == stream)
             return base;
@@ -450,6 +515,24 @@ class UnitLowerer
                                   base[i], static_cast<uint32_t>(i));
         }
         return migrated_.emplace(key, std::move(out)).first->second;
+    }
+
+    /** Placeholders for the limbs of a value an earlier segment
+     *  defined, placed where that segment left them. */
+    std::vector<int>
+    importLimbs(int value_id)
+    {
+        CINN_ASSERT((*def_seg_)[value_id] < segment_,
+                    "poly value " << value_id << " not lowered yet");
+        const PolyValue &pv = poly_->values[value_id];
+        const Group g = groupOf(pv.stream);
+        std::vector<int> out(pv.level + 1);
+        for (std::size_t i = 0; i <= pv.level; ++i) {
+            const uint32_t prime = static_cast<uint32_t>(i);
+            out[i] = unit_->newValue(chipOfLimb(g, i), prime);
+            seg_->imports.push_back({out[i], value_id, prime});
+        }
+        return out;
     }
 
     // ---- op lowering ----------------------------------------------
@@ -958,18 +1041,21 @@ class UnitLowerer
     const PolyProgram *poly_;
     CompilerConfig cfg_;
     const Scalars *scalars_;
-    const std::vector<int> *op_ids_;
+    std::span<const int> op_ids_;
+    const std::vector<int> *def_seg_;
+    const int segment_;
+    Segment *seg_;
     LimbUnit *unit_;
     const std::size_t unit_chips_;
     const std::size_t key_primes_; ///< |Q ∪ E|: accumulator stride
 
     /** [poly value id] → limb value ids (index = limb). */
-    std::vector<std::vector<int>> limbs_;
+    std::vector<std::vector<int>> &limbs_;
     /** (poly value id, stream) → cross-group migrated copies. */
     std::map<std::pair<int, int>, std::vector<int>> migrated_;
     /** [desc index * unit chips + chip - chip_lo] → loaded value. */
     std::vector<int> load_cache_;
-    DescMap<int> desc_index_; ///< descriptor → unit descriptor index
+    DescMap<int> &desc_index_; ///< descriptor → unit descriptor index
     /** (name, galois, chip digits) → that key's limb descriptors. */
     std::map<std::tuple<std::string, uint64_t, bool>, KeyTable>
         key_tables_;
@@ -981,11 +1067,370 @@ class UnitLowerer
     std::vector<int> gather_; ///< value list being gathered for a span
 };
 
+/**
+ * Estimated limb ops one poly op lowers to on a `group`-chip stream
+ * (within ~25 % of the count on the Table 2 kernels). Keyswitches
+ * dominate: every digit feeds every output prime of every chip (base
+ * conversion, NTT, two key loads, two multiply-accumulates).
+ */
+double
+loweringCost(const PolyOp &op, const Scalars &s, std::size_t group)
+{
+    const double w = static_cast<double>(op.level + 1);
+    const double g = static_cast<double>(group);
+    const double ext = static_cast<double>(s.special.primes.size());
+    switch (op.kind) {
+    case PolyOpKind::KeySwitch: {
+        const double digits =
+            static_cast<double>(s.ks_digits[op.level].size());
+        return w * (g + 2.0) + digits * (w + g * ext) * 7.0;
+    }
+    case PolyOpKind::OaBatch:
+        return static_cast<double>(op.rotation_galois.size()) * g *
+                   (w + ext) * 7.0 +
+               2.0 * g * (w * 6.0 + ext * 2.0);
+    case PolyOpKind::Rescale:
+        return 5.0 * w + g;
+    case PolyOpKind::Automorph:
+        return 3.0 * w;
+    default:
+        return w;
+    }
+}
+
+/**
+ * The least estimated cost (costPrefix) a segment may carry, so a
+ * unit below twice this stays whole: there a segment's set-up and the
+ * merge cost what lowering concurrently saves. EXPERIMENTS.md ("Cold
+ * compile, round 3") measured kernels of up to ~50 k limb ops (every
+ * Table 2 phase but bootstrap, the test-scale kernels, the serve probe
+ * and the emulator's keyswitch kernel) at 0.90-1.11x in segments and
+ * the N = 64K bootstrap (352 k-880 k ops) at 1.1-1.6x.
+ */
+constexpr double kMinSegmentCost = 40000.0;
+
+/**
+ * What one descriptor a lowerer creates costs, in limb ops: a
+ * descriptor-table insert and a copy of the descriptor, measured at
+ * 7-13 times an emitted op (EXPERIMENTS.md, "Cold compile, round 3").
+ */
+constexpr double kDescCost = 8.0;
+
+/**
+ * prefix[k]: the estimated cost of lowering ops [0, k) of one unit,
+ * in limb ops: loweringCost plus kDescCost per descriptor the ops
+ * create. A key's or plaintext's limb descriptors are counted at
+ * their first use in the unit (a key's again for the primes a use at
+ * a higher level adds); a segment re-creates the ones it shares with
+ * earlier segments, which the estimate ignores.
+ */
+std::vector<double>
+costPrefix(const PolyProgram &poly, std::span<const int> ops,
+           const Scalars &scalars, std::size_t group)
+{
+    const std::size_t ext = scalars.special.primes.size();
+    std::map<std::tuple<std::string, uint64_t, bool>, std::size_t>
+        key_width;
+    std::set<std::pair<std::string, std::size_t>> plains;
+    // Limb descriptors of one key over primes [0, w) and the specials,
+    // counting only the primes a use of that key adds.
+    auto keyDescs = [&](const std::string &name, uint64_t galois,
+                        bool chip_digits, std::size_t digits,
+                        std::size_t w) {
+        std::size_t &seen = key_width[{name, galois, chip_digits}];
+        const std::size_t fresh = w > seen ? w - seen + (seen ? 0 : ext)
+                                           : 0;
+        seen = std::max(seen, w);
+        return static_cast<double>(2 * digits * fresh);
+    };
+
+    std::vector<double> prefix(ops.size() + 1, 0.0);
+    for (std::size_t k = 0; k < ops.size(); ++k) {
+        const PolyOp &op = poly.ops[ops[k]];
+        const std::size_t w = op.level + 1;
+        double descs = 0.0;
+        switch (op.kind) {
+        case PolyOpKind::Input:
+            descs = static_cast<double>(w);
+            break;
+        case PolyOpKind::PlainMul:
+        case PolyOpKind::PlainAdd:
+            if (plains.emplace(op.name, op.level).second)
+                descs = static_cast<double>(w);
+            break;
+        case PolyOpKind::KeySwitch:
+            descs = keyDescs(op.name, op.galois, false,
+                             scalars.ks_digits[op.level].size(), w);
+            break;
+        case PolyOpKind::OaBatch:
+            for (uint64_t galois : op.rotation_galois)
+                descs += keyDescs("galois:" + std::to_string(galois),
+                                  galois, true, group, w);
+            break;
+        case PolyOpKind::Output:
+            descs = 2.0 * static_cast<double>(
+                              poly.values[op.args[0]].level + 1);
+            break;
+        default:
+            break;
+        }
+        prefix[k + 1] = prefix[k] +
+                        loweringCost(op, scalars, group) +
+                        kDescCost * descs;
+    }
+    return prefix;
+}
+
+/**
+ * Where to cut one unit's op list into at most `want` segments of
+ * about equal lowering cost (`prefix` from costPrefix): the returned
+ * positions b_0 = 0 < b_1 < ... < b_S = ops.size() bound the segments
+ * [b_k, b_k+1). A cut lies only between poly ops, and never inside a
+ * batch: the members of one batch reuse its first member's broadcast
+ * copies (ib_cache_), so they must meet in one lowerer.
+ */
+std::vector<std::size_t>
+planCuts(const PolyProgram &poly, std::span<const int> ops,
+         const std::vector<double> &prefix, std::size_t want)
+{
+    const std::size_t n = ops.size();
+    want = std::min<std::size_t>(
+        want, static_cast<std::size_t>(prefix[n] / kMinSegmentCost));
+    std::vector<std::size_t> cuts = {0};
+    if (want < 2) {
+        cuts.push_back(n);
+        return cuts;
+    }
+
+    // A cut at k (between ops k-1 and k) is legal unless some batch
+    // has members on both sides: blocked[k] > 0.
+    std::vector<std::array<std::size_t, 2>> span; // [batch] first, last
+    for (std::size_t k = 0; k < n; ++k) {
+        const int b = poly.ops[ops[k]].batch;
+        if (b < 0)
+            continue;
+        if (span.size() <= static_cast<std::size_t>(b))
+            span.resize(b + 1, {n, 0});
+        span[b][0] = std::min(span[b][0], k);
+        span[b][1] = k;
+    }
+    std::vector<int> blocked(n + 1, 0);
+    for (const auto &[first, last] : span) {
+        if (first < last) {
+            ++blocked[first + 1];
+            --blocked[last + 1];
+        }
+    }
+    std::vector<std::size_t> legal;
+    int open = 0;
+    for (std::size_t k = 1; k < n; ++k) {
+        open += blocked[k];
+        if (open == 0)
+            legal.push_back(k);
+    }
+
+    // The legal cut nearest each 1/want of the cost.
+    for (std::size_t j = 1; j < want; ++j) {
+        const double target = prefix[n] * static_cast<double>(j) /
+                              static_cast<double>(want);
+        auto it = std::lower_bound(
+            legal.begin(), legal.end(), target,
+            [&](std::size_t k, double t) { return prefix[k] < t; });
+        if (it == legal.end() ||
+            (it != legal.begin() &&
+             target - prefix[*(it - 1)] < prefix[*it] - target))
+            --it;
+        if (it != legal.end() && *it > cuts.back())
+            cuts.push_back(*it);
+    }
+    cuts.push_back(n);
+    return cuts;
+}
+
+/**
+ * Splice a unit's lowered segments, in order, into exactly the IR a
+ * serial walk of the unit emits. That walk emits the same ops in the
+ * same order except one kind: a Load of a (descriptor, chip) an
+ * earlier segment already loaded, which its load cache catches. So
+ * the merge
+ *
+ *  - numbers descriptors at first use (a segment's descriptors are
+ *    already in its first-use order, and the first segment's are the
+ *    unit's first ones);
+ *  - drops those repeated Loads and points their uses at the first;
+ *  - resolves imports to the exporting segment's limb values;
+ *  - numbers the remaining values in creation order;
+ *  - shifts every pool span by the pools of the segments before.
+ *
+ * A serial pass does the first three on the small tables (descriptors,
+ * loads, imports) and sizes the unit's arrays, uninitialized; then
+ * each segment writes its slice of them on the pool and frees its own.
+ */
+void
+mergeSegments(std::vector<Segment> &segs, const std::vector<int> &def_seg,
+              std::size_t workers, LimbUnit &unit)
+{
+    const std::size_t chips = unit.chip_hi - unit.chip_lo;
+    TaskPool &pool = TaskPool::global();
+    // Each later segment looks its descriptors up in the earlier
+    // segments' tables, concurrently: the first (segment, index)
+    // holding each, or (-1, -1). A serial pass then numbers them.
+    std::vector<std::vector<std::pair<int, int>>> held(segs.size());
+    pool.forEach(segs.size() - 1, workers, [&](std::size_t t) {
+        const auto &descs = segs[t + 1].part.descs;
+        auto &found = held[t + 1];
+        found.assign(descs.size(), {-1, -1});
+        for (std::size_t d = 0; d < descs.size(); ++d) {
+            for (std::size_t e = 0; e <= t; ++e) {
+                const auto it = segs[e].desc_index.find(descs[d]);
+                if (it != segs[e].desc_index.end()) {
+                    found[d] = {static_cast<int>(e), it->second};
+                    break;
+                }
+            }
+        }
+    });
+    unit.descs = std::move(segs[0].part.descs);
+    segs[0].desc_of.resize(unit.descs.size());
+    std::iota(segs[0].desc_of.begin(), segs[0].desc_of.end(), 0);
+    for (std::size_t s = 1; s < segs.size(); ++s) {
+        Segment &seg = segs[s];
+        seg.desc_of.resize(held[s].size());
+        for (std::size_t d = 0; d < held[s].size(); ++d) {
+            const auto [e, at] = held[s][d];
+            if (e >= 0) {
+                seg.desc_of[d] = segs[e].desc_of[at];
+                continue;
+            }
+            seg.desc_of[d] = static_cast<int>(unit.descs.size());
+            unit.descs.push_back(std::move(seg.part.descs[d]));
+        }
+    }
+    // [unit descriptor * chips + chip] → (segment, value) of its load.
+    std::vector<std::pair<int, int>> first_load(unit.descs.size() * chips,
+                                                {-1, -1});
+
+    // The unit value id of segment e's value x; e's aliases are final.
+    auto idOf = [&](std::size_t e, int x) {
+        const auto &al = segs[e].aliases;
+        const auto it = std::lower_bound(
+            al.begin(), al.end(), std::make_pair(x, INT_MIN));
+        if (it != al.end() && it->first == x)
+            return it->second;
+        return static_cast<int>(segs[e].value_at) + x -
+               static_cast<int>(it - al.begin());
+    };
+
+    std::size_t ops = 0, values = 0, operands = 0, primes = 0;
+    std::vector<std::pair<int, int>> imported, reloaded;
+    for (std::size_t s = 0; s < segs.size(); ++s) {
+        Segment &seg = segs[s];
+        LimbUnit &part = seg.part;
+        seg.op_at = ops;
+        seg.value_at = values;
+        seg.operand_at = operands;
+        seg.prime_at = primes;
+
+        imported.clear();
+        for (const Import &imp : seg.imports) {
+            const int e = def_seg[imp.poly_value];
+            CINN_ASSERT(e < static_cast<int>(s) &&
+                            imp.limb < segs[e].limbs[imp.poly_value].size(),
+                        "segment " << s << " imports poly value "
+                                   << imp.poly_value
+                                   << " that no earlier segment defined");
+            imported.emplace_back(
+                imp.value,
+                idOf(e, segs[e].limbs[imp.poly_value][imp.limb]));
+        }
+        reloaded.clear();
+        for (uint32_t k : seg.loads) {
+            const LimbOp &op = part.ops[k];
+            auto &first = first_load[seg.desc_of[op.desc] * chips +
+                                     (op.chip - unit.chip_lo)];
+            if (first.first < 0) {
+                first = {static_cast<int>(s), op.result};
+                continue;
+            }
+            reloaded.emplace_back(op.result,
+                                  idOf(first.first, first.second));
+            seg.dropped.push_back(k);
+        }
+        seg.aliases.resize(imported.size() + reloaded.size());
+        std::merge(imported.begin(), imported.end(), reloaded.begin(),
+                   reloaded.end(), seg.aliases.begin());
+
+        ops += part.ops.size() - seg.dropped.size();
+        values += part.values.size() - seg.aliases.size();
+        operands += part.operands.size();
+        primes += part.primes.size();
+        for (OutputSpec &spec : part.outputs) {
+            for (auto &idx : spec.desc_idx)
+                for (int &d : idx)
+                    d = seg.desc_of[d];
+            unit.outputs.push_back(std::move(spec));
+        }
+        unit.comm.broadcast_limbs += part.comm.broadcast_limbs;
+        unit.comm.aggregation_limbs += part.comm.aggregation_limbs;
+    }
+
+    unit.ops.resize(ops);
+    unit.values.resize(values);
+    unit.operands.resize(operands);
+    unit.primes.resize(primes);
+    auto copySegment = [&](std::size_t s) {
+        Segment &seg = segs[s];
+        const LimbUnit &part = seg.part;
+        std::vector<int> id(part.values.size());
+        int next = static_cast<int>(seg.value_at);
+        auto alias = seg.aliases.begin();
+        for (std::size_t x = 0; x < part.values.size(); ++x) {
+            if (alias != seg.aliases.end() &&
+                alias->first == static_cast<int>(x)) {
+                id[x] = (alias++)->second;
+                continue;
+            }
+            LimbValue v = part.values[x];
+            v.id = next;
+            unit.values[next] = v;
+            id[x] = next++;
+        }
+
+        auto dropped = seg.dropped.begin();
+        LimbOp *out = unit.ops.data() + seg.op_at;
+        for (std::size_t k = 0; k < part.ops.size(); ++k) {
+            if (dropped != seg.dropped.end() && *dropped == k) {
+                ++dropped;
+                continue;
+            }
+            LimbOp op = part.ops[k];
+            if (op.result >= 0)
+                op.result = id[op.result];
+            if (op.desc >= 0)
+                op.desc = seg.desc_of[op.desc];
+            op.args.at += static_cast<uint32_t>(seg.operand_at);
+            op.coll.at += static_cast<uint32_t>(seg.operand_at);
+            op.aux.at += static_cast<uint32_t>(seg.prime_at);
+            *out++ = op;
+        }
+        std::transform(part.operands.begin(), part.operands.end(),
+                       unit.operands.begin() + seg.operand_at,
+                       [&](int v) { return v < 0 ? v : id[v]; });
+        std::copy(part.primes.begin(), part.primes.end(),
+                  unit.primes.begin() + seg.prime_at);
+        seg = Segment{};
+    };
+    pool.forEach(segs.size(), workers, copySegment);
+}
+
 [[noreturn]] void
 fail(const std::string &what)
 {
     throw VerifyError("limb IR: " + what);
 }
+
+/** Ops (or values) the verifier checks per range on the pool. */
+constexpr std::size_t kVerifyRange = 16384;
 
 } // namespace
 
@@ -1023,7 +1468,7 @@ descKeyOf(const DataDescriptor &desc)
 
 LimbProgram
 buildLimbProgram(const PolyProgram &poly, const fhe::CkksContext &ctx,
-                 const CompilerConfig &cfg)
+                 const CompilerConfig &cfg, TraceRecorder *trace)
 {
     const int S = poly.num_streams;
     const uint32_t g = static_cast<uint32_t>(cfg.chips / S);
@@ -1106,16 +1551,79 @@ buildLimbProgram(const PolyProgram &poly, const fhe::CkksContext &ctx,
         op_ids[unit_of_stream[stream]].push_back(op.id);
     }
 
-    // Units share no chips and no values — lower them concurrently.
-    // The per-unit output is identical for any worker count; only
-    // wall time changes.
+    // Units share no chips and no values, and a single-stream unit is
+    // cut into segments when the pool has room for more lowerers than
+    // there are units. Every (unit, segment) lowers concurrently; the
+    // output is identical for any worker count, only wall time
+    // changes. Units whose streams exchange values stay whole: their
+    // migration cache spans the whole unit.
     const Scalars scalars = buildScalars(poly, ctx, g);
-    auto lowerUnit = [&](std::size_t i) {
-        UnitLowerer(ctx, poly, cfg, scalars, op_ids[i], limb.units[i])
+    TaskPool &pool = TaskPool::global();
+    const std::size_t par =
+        cfg.compile_workers == 0
+            ? pool.parallelism()
+            : std::min(cfg.compile_workers, pool.parallelism());
+    const std::size_t per_unit = std::max<std::size_t>(
+        1, par / std::max<std::size_t>(1, limb.units.size()));
+    std::vector<std::vector<std::size_t>> cuts(limb.units.size());
+    std::vector<std::vector<Segment>> segs(limb.units.size());
+    std::vector<int> def_seg(poly.values.size(), INT_MAX);
+    std::vector<std::array<std::size_t, 2>> tasks; // (unit, segment)
+    for (std::size_t u = 0; u < limb.units.size(); ++u) {
+        const LimbUnit &unit = limb.units[u];
+        const bool whole = unit.stream_hi - unit.stream_lo > 1;
+        const auto prefix = costPrefix(poly, op_ids[u], scalars, g);
+        cuts[u] = planCuts(poly, op_ids[u], prefix, whole ? 1 : per_unit);
+        segs[u].resize(cuts[u].size() - 1);
+        for (std::size_t k = 0; k + 1 < cuts[u].size(); ++k) {
+            Segment &seg = segs[u][k];
+            seg.part.stream_lo = unit.stream_lo;
+            seg.part.stream_hi = unit.stream_hi;
+            seg.part.chip_lo = unit.chip_lo;
+            seg.part.chip_hi = unit.chip_hi;
+            for (std::size_t i = cuts[u][k]; i < cuts[u][k + 1]; ++i) {
+                const PolyOp &op = poly.ops[op_ids[u][i]];
+                seg.ops_est += loweringCost(op, scalars, g);
+                for (int r : op.results)
+                    def_seg[r] = static_cast<int>(k);
+            }
+            tasks.push_back({u, k});
+        }
+    }
+    MetricsRegistry::global()
+        .counter("compiler.lower-limb.segments")
+        .add(static_cast<double>(tasks.size()));
+
+    auto lowerSegment = [&](std::size_t t) {
+        const auto [u, k] = tasks[t];
+        const std::span<const int> ops(op_ids[u].data() + cuts[u][k],
+                                       cuts[u][k + 1] - cuts[u][k]);
+        ScopedSpan span(trace, "compiler.lower-limb.segment", "compiler",
+                        0, static_cast<uint32_t>(t));
+        span.arg("poly_ops", static_cast<double>(ops.size()));
+        UnitLowerer(ctx, poly, cfg, scalars, ops, def_seg,
+                    static_cast<int>(k), segs[u][k])
             .run();
     };
-    TaskPool::global().forEach(limb.units.size(), cfg.compile_workers,
-                               lowerUnit);
+    pool.forEach(tasks.size(), cfg.compile_workers, lowerSegment);
+
+    for (std::size_t u = 0; u < limb.units.size(); ++u) {
+        if (segs[u].size() == 1) {
+            limb.units[u] = std::move(segs[u][0].part);
+            continue;
+        }
+        ScopedSpan span(trace, "compiler.lower-limb.merge", "compiler",
+                        0, 0);
+        span.arg("segments", static_cast<double>(segs[u].size()));
+        const auto start = std::chrono::steady_clock::now();
+        mergeSegments(segs[u], def_seg, cfg.compile_workers,
+                      limb.units[u]);
+        MetricsRegistry::global()
+            .histogram("compiler.lower-limb.merge.ms")
+            .observe(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+    }
     return limb;
 }
 
@@ -1159,36 +1667,93 @@ printLimbProgram(const LimbProgram &limb)
 }
 
 void
-verifyLimbProgram(const LimbProgram &limb)
+verifyLimbProgram(const LimbProgram &limb, std::size_t workers)
 {
     auto str = [](auto v) { return std::to_string(v); };
+    TaskPool &pool = TaskPool::global();
+    // check(i) for every i in [0, n), in ranges on the pool. A range
+    // stops at its first failure and the pool rethrows the lowest
+    // range's, so the lowest failing index throws, as in a serial
+    // walk.
+    auto inRanges = [&](std::size_t n, const auto &check) {
+        pool.forEach((n + kVerifyRange - 1) / kVerifyRange, workers,
+                     [&](std::size_t r) {
+                         const std::size_t hi =
+                             std::min(n, (r + 1) * kVerifyRange);
+                         for (std::size_t i = r * kVerifyRange; i < hi;
+                              ++i)
+                             check(i);
+                     });
+    };
+
     for (std::size_t u = 0; u < limb.units.size(); ++u) {
         const LimbUnit &unit = limb.units[u];
         const std::string where = "unit " + str(u) + ": ";
         if (unit.chip_hi > limb.chips || unit.chip_lo >= unit.chip_hi)
             fail(where + "chip range invalid");
-        for (const auto &v : unit.values) {
+        inRanges(unit.values.size(), [&](std::size_t x) {
+            const LimbValue &v = unit.values[x];
             if (v.chip < unit.chip_lo || v.chip >= unit.chip_hi)
                 fail(where + "value %" + str(v.id) + " placed on chip " +
                      str(v.chip) + " outside the unit");
-        }
+        });
 
-        std::vector<char> defined(unit.values.size(), 0);
+        // A span inside its pool: at + size cannot wrap in 64 bits.
+        auto inPool = [](PoolSpan s, std::size_t pool_size) {
+            return uint64_t{s.at} + s.size <= pool_size;
+        };
+        const int nvalues = static_cast<int>(unit.values.size());
+
+        // Phase 1: the first op that defines each value. Only the
+        // lowest failing op is reported, and every op below it passes
+        // and so defines what it names: "defined before op i" is
+        // exactly def_at[v] < i there.
+        std::vector<uint32_t> def_at(unit.values.size(), UINT32_MAX);
+        auto mark = [&](int v, std::size_t i) {
+            if (v < 0 || v >= nvalues)
+                return;
+            // The lowest defining op wins; ranges race only on values
+            // defined more than once.
+            std::atomic_ref<uint32_t> at(def_at[v]);
+            uint32_t seen = at.load(std::memory_order_relaxed);
+            while (i < seen &&
+                   !at.compare_exchange_weak(seen,
+                                             static_cast<uint32_t>(i),
+                                             std::memory_order_relaxed)) {
+            }
+        };
+        inRanges(unit.ops.size(), [&](std::size_t i) {
+            const LimbOp &op = unit.ops[i];
+            if (!op.collective()) {
+                mark(op.result, i);
+            } else if (op.op == Opcode::Agg) {
+                mark(op.result, i);
+            } else if (op.op == Opcode::Bcast &&
+                       inPool(op.coll, unit.operands.size())) {
+                for (int v : unit.coll(op))
+                    mark(v, i);
+            }
+        });
+
+        // Phase 2: every op's checks, in ranges on the pool.
         auto use = [&](int v, std::size_t i) -> const LimbValue & {
-            if (v < 0 || v >= static_cast<int>(unit.values.size()))
+            if (v < 0 || v >= nvalues)
                 fail(where + "op #" + str(i) + " references value %" +
                      str(v) + " out of range");
-            if (!defined[v])
+            if (def_at[v] >= i)
                 fail(where + "op #" + str(i) + " uses %" + str(v) +
                      " before its definition");
             return unit.values[v];
         };
+        // `earlier` holds the values op i defined before this one.
         auto define = [&](int v, std::size_t i, uint32_t chip,
-                          uint32_t prime) {
-            if (v < 0 || v >= static_cast<int>(unit.values.size()))
+                          uint32_t prime, std::span<const int> earlier) {
+            if (v < 0 || v >= nvalues)
                 fail(where + "op #" + str(i) + " defines value %" +
                      str(v) + " out of range");
-            if (defined[v])
+            if (def_at[v] < i ||
+                std::find(earlier.begin(), earlier.end(), v) !=
+                    earlier.end())
                 fail(where + "value %" + str(v) +
                      " defined more than once");
             const LimbValue &val = unit.values[v];
@@ -1199,14 +1764,9 @@ verifyLimbProgram(const LimbProgram &limb)
             if (val.prime != prime)
                 fail(where + "op #" + str(i) + " defines %" + str(v) +
                      " under the wrong prime");
-            defined[v] = 1;
         };
 
-        // A span inside its pool: at + size cannot wrap in 64 bits.
-        auto inPool = [](PoolSpan s, std::size_t pool) {
-            return uint64_t{s.at} + s.size <= pool;
-        };
-        for (std::size_t i = 0; i < unit.ops.size(); ++i) {
+        inRanges(unit.ops.size(), [&](std::size_t i) {
             const LimbOp &op = unit.ops[i];
             if (!inPool(op.args, unit.operands.size()))
                 fail(where + "op #" + str(i) +
@@ -1250,7 +1810,7 @@ verifyLimbProgram(const LimbProgram &limb)
                             continue;
                         define(coll[j], i,
                                op.part_lo + static_cast<uint32_t>(j),
-                               op.prime);
+                               op.prime, coll.first(j));
                     }
                 } else if (op.op == Opcode::Agg) {
                     if (coll.size() != n || op.result < 0)
@@ -1266,13 +1826,13 @@ verifyLimbProgram(const LimbProgram &limb)
                             fail(where + "op #" + str(i) +
                                  " aggregation source prime mismatch");
                     }
-                    define(op.result, i,
-                           static_cast<uint32_t>(op.imm), op.prime);
+                    define(op.result, i, static_cast<uint32_t>(op.imm),
+                           op.prime, {});
                 } else {
                     fail(where + "op #" + str(i) +
                          " non-collective opcode with participants");
                 }
-                continue;
+                return;
             }
 
             if (op.chip < unit.chip_lo || op.chip >= unit.chip_hi)
@@ -1317,8 +1877,8 @@ verifyLimbProgram(const LimbProgram &limb)
                          " descriptor out of range");
             }
             if (op.result >= 0)
-                define(op.result, i, op.chip, op.prime);
-        }
+                define(op.result, i, op.chip, op.prime, {});
+        });
 
         for (const auto &spec : unit.outputs) {
             if (spec.owners.size() != spec.level + 1)

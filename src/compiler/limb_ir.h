@@ -33,14 +33,21 @@
 #include <array>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "compiler/compiled.h"
 #include "compiler/poly_ir.h"
 #include "isa/isa.h"
+
+namespace cinnamon {
+class TraceRecorder;
+}
 
 namespace cinnamon::compiler {
 
@@ -104,6 +111,46 @@ struct OutputSpec
     std::vector<uint32_t> owners; ///< owner chip of each limb
 };
 
+static_assert(std::is_trivially_copyable_v<LimbOp> &&
+                  std::is_trivially_copyable_v<LimbValue>,
+              "limb IR records are copied as plain bytes");
+
+/**
+ * std::allocator, except that a resize() leaves the new elements
+ * uninitialized (every element type of a LimbUnit array is a
+ * trivially copyable aggregate or scalar). The merge of a segmented
+ * unit sizes the unit's arrays once and has each segment's task write
+ * its own slice, so every page is written once, on the pool, instead
+ * of being zeroed by a serial resize first. Append with push_back or
+ * a value: an argument-less emplace_back() leaves garbage too.
+ */
+template <typename T>
+struct UninitAllocator : std::allocator<T>
+{
+    UninitAllocator() = default;
+    template <typename U>
+    UninitAllocator(const UninitAllocator<U> &) noexcept
+    {
+    }
+
+    template <typename U>
+    void
+    construct(U *) noexcept
+    {
+    }
+
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+};
+
+/** An array of a LimbUnit (see UninitAllocator). */
+template <typename T>
+using IrArray = std::vector<T, UninitAllocator<T>>;
+
 /** One independently lowerable slice of the program. */
 struct LimbUnit
 {
@@ -111,10 +158,10 @@ struct LimbUnit
     int stream_hi = 0;
     uint32_t chip_lo = 0; ///< chips [chip_lo, chip_hi) — disjoint
     uint32_t chip_hi = 0; ///< across units
-    std::vector<LimbOp> ops;
-    std::vector<LimbValue> values;
-    std::vector<int> operands;    ///< pool: args and collective lists
-    std::vector<uint32_t> primes; ///< pool: BConv / Mod source primes
+    IrArray<LimbOp> ops;
+    IrArray<LimbValue> values;
+    IrArray<int> operands;    ///< pool: args and collective lists
+    IrArray<uint32_t> primes; ///< pool: BConv / Mod source primes
     std::vector<DataDescriptor> descs; ///< distinct under DescKey
     std::vector<OutputSpec> outputs;
     CommSummary comm;
@@ -177,9 +224,9 @@ struct LimbUnit
     }
 
   private:
-    template <typename T, typename It>
+    template <typename Pool, typename It>
     static PoolSpan
-    append(std::vector<T> &pool, It first, It last)
+    append(Pool &pool, It first, It last)
     {
         PoolSpan s;
         s.at = static_cast<uint32_t>(pool.size());
@@ -226,13 +273,19 @@ std::string descKeyOf(const DataDescriptor &desc);
 
 /**
  * Lower an annotated poly program to placed limb ops (pass
- * "lower-limb"). Units lower concurrently on
- * `cfg.compile_workers` threads; the result is identical for any
- * worker count.
+ * "lower-limb"). Units lower concurrently on the TaskPool, capped at
+ * `cfg.compile_workers`; when the pool has room for more lowerers
+ * than there are units, a large single-stream unit is cut into
+ * segments that lower concurrently and merge, in order, into the IR
+ * a serial walk emits. The result is identical for any worker count.
+ * Books compiler.lower-limb.segments (segments lowered, a whole unit
+ * counting as one) and compiler.lower-limb.merge.ms (per merged unit)
+ * and, with a `trace`, one span per segment and one per merge.
  */
 LimbProgram buildLimbProgram(const PolyProgram &poly,
                              const fhe::CkksContext &ctx,
-                             const CompilerConfig &cfg);
+                             const CompilerConfig &cfg,
+                             TraceRecorder *trace = nullptr);
 
 /** Human-readable listing (--dump-ir=limb). */
 std::string printLimbProgram(const LimbProgram &limb);
@@ -242,8 +295,13 @@ std::string printLimbProgram(const LimbProgram &limb);
  * (an op's operands live on the chips that use them), and collective
  * group scoping (participant ranges inside the owning unit's chips,
  * per-participant values on the right chips). Throws VerifyError.
+ *
+ * Runs in ranges on the TaskPool (capped at `workers`, 0 = the whole
+ * pool): a first pass records each value's first defining op, then
+ * every op is checked against it, and the lowest failing op throws,
+ * so the error is the one a serial walk reports first.
  */
-void verifyLimbProgram(const LimbProgram &limb);
+void verifyLimbProgram(const LimbProgram &limb, std::size_t workers = 0);
 
 } // namespace cinnamon::compiler
 

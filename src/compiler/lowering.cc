@@ -214,6 +214,10 @@ lowerIsaPass(PassContext &pcx)
 
     pcx.next_addr = next_addr;
     pcx.out = std::move(out);
+    // Nothing reads the limb IR past this pass (its --dump-ir handler
+    // ran right after lower-limb): release it before regalloc and the
+    // preload table allocate.
+    pcx.limb = LimbProgram{};
 }
 
 /**
@@ -474,9 +478,11 @@ buildCompilerPipeline(PassManager &pm)
         "lower-limb",
         "limb",
         [](PassContext &p) {
-            p.limb = buildLimbProgram(p.poly, *p.ctx, p.cfg);
+            p.limb = buildLimbProgram(p.poly, *p.ctx, p.cfg, p.trace);
         },
-        [](const PassContext &p) { verifyLimbProgram(p.limb); },
+        [](const PassContext &p) {
+            verifyLimbProgram(p.limb, p.cfg.compile_workers);
+        },
         [](const PassContext &p) { return printLimbProgram(p.limb); },
         [](const PassContext &p) { return p.limb.totalOps(); },
     });

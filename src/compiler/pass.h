@@ -60,7 +60,7 @@ struct PassContext
 
     KsPassResult ks;     ///< after "keyswitch"
     PolyProgram poly;    ///< after "expand-poly" (annotated in place)
-    LimbProgram limb;    ///< after "lower-limb"
+    LimbProgram limb;    ///< after "lower-limb"; lower-isa empties it
     CompiledProgram out; ///< after "lower-isa" / "regalloc"
     /** First address past program data (spill slots start here). */
     uint64_t next_addr = 1;

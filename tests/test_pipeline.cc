@@ -8,9 +8,11 @@
  *    by running tests/golden_util.h's compileRunHash against commit
  *    bc3eb2b (the last monolithic-lowering revision).
  * 2. Determinism: serial (compile_workers = 1) and parallel
- *    compilation emit byte-identical machine programs and identical
- *    preload tables.
- * 3. The inter-pass verifiers reject malformed IR with VerifyError.
+ *    compilation emit byte-identical limb IR, machine programs and
+ *    preload tables, including single-stream units that lower-limb
+ *    cuts into segments and merges.
+ * 3. The inter-pass verifiers reject malformed IR with VerifyError;
+ *    the limb verifier reports the first fault a serial walk meets.
  * 4. The --dump-ir hook surfaces every materialized stage.
  * 5. Listing pins: the limb and lower-isa listings of the kernel set
  *    hash to values recorded before the limb IR's pooled layout.
@@ -25,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
+#include "common/task_pool.h"
 #include "compiler/limb_ir.h"
 #include "compiler/lowering.h"
 #include "compiler/pass.h"
@@ -41,6 +44,32 @@ using compiler::PolyOpKind;
 using compiler::PolyProgram;
 using compiler::VerifyError;
 using testutil::CkksHarness;
+
+/**
+ * Gives the shared pool at least `n` participants for one scope, so
+ * the parallel paths (lower-limb segments, verifier ranges) run even
+ * on a one-CPU host or under CINNAMON_WORKERS=1.
+ */
+class PoolAtLeast
+{
+  public:
+    explicit PoolAtLeast(std::size_t n)
+        : restore_(TaskPool::global().parallelism())
+    {
+        if (restore_ < n)
+            TaskPool::global().resize(n);
+    }
+    ~PoolAtLeast()
+    {
+        if (TaskPool::global().parallelism() != restore_)
+            TaskPool::global().resize(restore_);
+    }
+    PoolAtLeast(const PoolAtLeast &) = delete;
+    PoolAtLeast &operator=(const PoolAtLeast &) = delete;
+
+  private:
+    std::size_t restore_;
+};
 
 /** Recorded against the pre-refactor compiler (see file comment). */
 struct GoldenRow
@@ -245,49 +274,99 @@ TEST(Pipeline, ParallelMatchesSerial)
 {
     CkksHarness h(1 << 10, 16, 4);
     auto cases = testutil::goldenKernels(*h.ctx);
+    // A deeper chain makes single-stream units big enough for
+    // lower-limb to cut them into segments (the golden kernels stay
+    // whole); compiling never touches the ring dimension.
+    fhe::CkksContext deep(fhe::CkksParams::makeTest(1 << 10, 32, 4));
+    workloads::BootstrapShape shape;
+    shape.start_level = deep.maxLevel();
+    shape.c2s_stages = 3;
+    shape.s2c_stages = 3;
+    shape.bsgs_baby = 4;
+    shape.bsgs_giant = 4;
+    shape.evalmod_depth = 22;
+    const auto boot = workloads::bootstrapKernel(deep, shape);
+    // Eight hoisted rotations: one input-broadcast batch no cut may
+    // split.
+    const auto matvec =
+        workloads::bsgsMatVecKernel(deep, deep.maxLevel(), 8, 6, "mv");
+    // Segments need a pool with room for them.
+    PoolAtLeast pool(4);
+
     struct Shape
     {
+        const fhe::CkksContext *ctx;
         const compiler::Program *kernel;
         std::size_t chips;
         int streams;
+        bool segments; ///< lower-limb cuts it at compile_workers 0
     };
     const Shape shapes[] = {
-        {&cases[2].prog, 8, 4},  // helr_mv
-        {&cases[0].prog, 12, 3}, // bootstrap, three 4-chip streams
+        {h.ctx.get(), &cases[2].prog, 8, 4, false},  // helr_mv
+        {h.ctx.get(), &cases[0].prog, 12, 3, false}, // bootstrap, 3 x 4
+        {&deep, &boot, 1, 1, true},
+        {&deep, &boot, 12, 1, true},
+        {&deep, &matvec, 12, 1, true},
     };
+    auto &segments = MetricsRegistry::global().counter(
+        "compiler.lower-limb.segments");
     for (const Shape &shape : shapes) {
         SCOPED_TRACE(shape.kernel->name() + " chips=" +
-                     std::to_string(shape.chips));
+                     std::to_string(shape.chips) + " streams=" +
+                     std::to_string(shape.streams));
         auto prog = compiler::replicateStreams(*shape.kernel,
                                                shape.streams);
+        std::string limb;
+        double lowered = 0.0; // segments lowered by the last compile
         auto compileWith = [&](std::size_t workers) {
             CompilerConfig cfg;
             cfg.chips = shape.chips;
             cfg.num_streams = shape.streams;
             cfg.phys_regs = 64;
             cfg.compile_workers = workers;
-            compiler::Compiler comp(*h.ctx, cfg);
-            return comp.compile(prog);
+            compiler::Compiler comp(*shape.ctx, cfg);
+            comp.setDumpHandler(
+                [&](const std::string &stage, const std::string &text) {
+                    if (stage == "limb")
+                        limb = text;
+                });
+            const double before = segments.value();
+            auto out = comp.compile(prog);
+            lowered = segments.value() - before;
+            return out;
         };
         const auto serial = compileWith(1);
-        const auto parallel = compileWith(0); // the whole pool
+        const std::string serial_limb = limb;
+        const std::string serial_isa = compiler::printIsaProgram(serial);
+        if (shape.streams == 1) {
+            EXPECT_EQ(lowered, 1.0) << "compile_workers = 1 is one walk";
+        }
 
-        // Byte-identical machine programs, not merely equivalent
-        // ones, and the same preload table.
-        ASSERT_EQ(serial.machine.chips.size(),
-                  parallel.machine.chips.size());
-        EXPECT_EQ(compiler::printIsaProgram(serial),
-                  compiler::printIsaProgram(parallel));
-        EXPECT_EQ(serial.machine.num_virtual_regs,
-                  parallel.machine.num_virtual_regs);
-        EXPECT_EQ(serial.data.size(), parallel.data.size());
-        EXPECT_EQ(serial.regalloc.spill_stores,
-                  parallel.regalloc.spill_stores);
-        EXPECT_EQ(serial.regalloc.spill_loads,
-                  parallel.regalloc.spill_loads);
-        EXPECT_EQ(serial.regalloc.max_live,
-                  parallel.regalloc.max_live);
-        expectSamePreload(serial.preload, parallel.preload);
+        for (std::size_t workers : {2, 3, 0}) { // 0: the whole pool
+            SCOPED_TRACE("compile_workers=" + std::to_string(workers));
+            const auto parallel = compileWith(workers);
+            if (shape.segments && workers == 0) {
+                EXPECT_GE(lowered, 2.0) << "the merge did not run";
+            }
+
+            // Byte-identical limb IR and machine programs, not merely
+            // equivalent ones, and the same preload table.
+            EXPECT_TRUE(limb == serial_limb) << "limb IR differs";
+            ASSERT_EQ(serial.machine.chips.size(),
+                      parallel.machine.chips.size());
+            EXPECT_TRUE(compiler::printIsaProgram(parallel) == serial_isa)
+                << "ISA listing differs";
+            EXPECT_EQ(serial.machine.num_virtual_regs,
+                      parallel.machine.num_virtual_regs);
+            EXPECT_EQ(serial.data.size(), parallel.data.size());
+            EXPECT_EQ(serial.regalloc.spill_stores,
+                      parallel.regalloc.spill_stores);
+            EXPECT_EQ(serial.regalloc.spill_loads,
+                      parallel.regalloc.spill_loads);
+            EXPECT_EQ(serial.regalloc.max_live,
+                      parallel.regalloc.max_live);
+            expectSamePreload(serial.preload, parallel.preload);
+        }
     }
 }
 
@@ -534,6 +613,109 @@ TEST(Verifier, RejectsOperandSpanOutOfRange)
     auto wrap = wellFormed();
     wrap.units[0].ops[2].args.at = ~uint32_t{0};
     EXPECT_TRUE(spanRejected(wrap));
+}
+
+/** The message verifyLimbProgram throws for `lp`, or "" if none. */
+std::string
+limbVerifyError(const compiler::LimbProgram &lp, std::size_t workers)
+{
+    try {
+        compiler::verifyLimbProgram(lp, workers);
+    } catch (const VerifyError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Verifier, ReportsTheEarliestOfSeveralFaults)
+{
+    // One chip: a load, then a chain of adds each reading the value
+    // before it, long enough for the verifier's ranges to run on
+    // several workers.
+    constexpr int kOps = 120000;
+    auto chain = [] {
+        compiler::LimbUnit u;
+        u.chip_hi = 1;
+        u.descs.push_back(compiler::DataDescriptor{});
+        compiler::LimbOp ld;
+        ld.op = isa::Opcode::Load;
+        ld.result = u.newValue(0, 0);
+        ld.desc = 0;
+        u.ops.push_back(ld);
+        for (int i = 1; i < kOps; ++i) {
+            compiler::LimbOp add;
+            add.op = isa::Opcode::Add;
+            add.args = u.addOperands({i - 1, i - 1});
+            add.result = u.newValue(0, 0);
+            u.ops.push_back(add);
+        }
+        compiler::LimbProgram lp;
+        lp.chips = 1;
+        lp.units.push_back(std::move(u));
+        return lp;
+    };
+    PoolAtLeast pool(4);
+    ASSERT_EQ(limbVerifyError(chain(), 0), "");
+
+    // Faults of two kinds far apart, in both orders: op 1000 reads a
+    // value op 1005 defines, and op 100000's result has the wrong
+    // prime. The earlier op is reported, at any worker count.
+    auto useEarly = chain();
+    auto &ue = useEarly.units[0];
+    ue.operands[ue.ops[1000].args.at] = 1005;
+    ue.values[100000].prime = 1;
+    auto primeEarly = chain();
+    auto &pe = primeEarly.units[0];
+    pe.values[1000].prime = 1;
+    pe.operands[pe.ops[100000].args.at] = 100005;
+    for (std::size_t workers : {1, 0}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        EXPECT_EQ(limbVerifyError(useEarly, workers),
+                  "limb IR: unit 0: op #1000 uses %1005 before its "
+                  "definition");
+        EXPECT_EQ(limbVerifyError(primeEarly, workers),
+                  "limb IR: unit 0: op #1000 defines %1000 under the "
+                  "wrong prime");
+    }
+}
+
+TEST(Verifier, RejectsValuesDefinedTwiceWithinOneBroadcast)
+{
+    // Load on chip 0, then a broadcast over chips [0, 2) whose copies
+    // are `first` and `second`.
+    auto broadcast = [](bool same_copy, bool source_is_copy) {
+        compiler::LimbUnit u;
+        u.chip_hi = 2;
+        u.descs.push_back(compiler::DataDescriptor{});
+        compiler::LimbOp ld;
+        ld.op = isa::Opcode::Load;
+        ld.result = u.newValue(0, 0);
+        ld.desc = 0;
+        u.ops.push_back(ld);
+        const int copy0 = u.newValue(0, 0);
+        const int copy1 = same_copy ? copy0 : u.newValue(1, 0);
+        compiler::LimbOp bc;
+        bc.op = isa::Opcode::Bcast;
+        bc.args = u.addOperands({source_is_copy ? copy0 : ld.result});
+        bc.part_hi = 2;
+        bc.coll = u.addOperands({copy0, copy1});
+        u.ops.push_back(bc);
+        compiler::LimbProgram lp;
+        lp.chips = 2;
+        lp.units.push_back(std::move(u));
+        return lp;
+    };
+    for (std::size_t workers : {1, 0}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        EXPECT_EQ(limbVerifyError(broadcast(false, false), workers), "");
+        // One value received on both chips.
+        EXPECT_EQ(limbVerifyError(broadcast(true, false), workers),
+                  "limb IR: unit 0: value %1 defined more than once");
+        // A broadcast whose source is one of its own copies reads it
+        // before anything defines it.
+        EXPECT_EQ(limbVerifyError(broadcast(false, true), workers),
+                  "limb IR: unit 0: op #1 uses %1 before its definition");
+    }
 }
 
 TEST(Verifier, AcceptsEveryPipelineStageOfRealKernels)
