@@ -1102,10 +1102,10 @@ loweringCost(const PolyOp &op, const Scalars &s, std::size_t group)
  * The least estimated cost (costPrefix) a segment may carry, so a
  * unit below twice this stays whole: there a segment's set-up and the
  * merge cost what lowering concurrently saves. EXPERIMENTS.md ("Cold
- * compile, round 3") measured kernels of up to ~50 k limb ops (every
- * Table 2 phase but bootstrap, the test-scale kernels, the serve probe
- * and the emulator's keyswitch kernel) at 0.90-1.11x in segments and
- * the N = 64K bootstrap (352 k-880 k ops) at 1.1-1.6x.
+ * compile, round 3") measured kernels below ~50 k limb ops (every
+ * Table 2 phase but bootstrap, the test-scale kernels) at 0.6-1.1x in
+ * segments and the N = 64K bootstrap (352 k-880 k ops) at 1.2-1.8x;
+ * the serve probe and the emulator's keyswitch kernel are smaller.
  */
 constexpr double kMinSegmentCost = 40000.0;
 
